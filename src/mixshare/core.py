@@ -89,15 +89,19 @@ class DomainSpec:
         return 2.0 * self.R
 
     def contains(self, w: np.ndarray, tol: float = 0.0) -> bool:
-        return float(np.linalg.norm(np.asarray(w) - self.center)) <= self.R + tol
+        """Whether ``w`` lies in the ball; for a (k, d) stack, whether every row does."""
+        norms = np.linalg.norm(np.asarray(w, dtype=float) - self.center, axis=-1)
+        return bool((norms <= self.R + tol).all())
 
     def project(self, w: np.ndarray) -> np.ndarray:
+        """Euclidean projection onto the ball; a (k, d) stack is projected row-wise."""
         w = np.asarray(w, dtype=float)
         delta = w - self.center
-        norm = float(np.linalg.norm(delta))
-        if norm <= self.R:
+        norms = np.linalg.norm(delta, axis=-1, keepdims=True)
+        if (norms <= self.R).all():
             return w
-        return self.center + delta * (self.R / norm)
+        # rows already inside are returned unchanged, bit for bit
+        return np.where(norms <= self.R, w, self.center + delta * (self.R / np.maximum(norms, self.R)))
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,12 @@ class DataPoint:
     y: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "y", float(self.y))
+        x = np.asarray(self.x, dtype=float)
+        y = float(self.y)
+        if not (np.all(np.isfinite(x)) and np.isfinite(y)):
+            raise ValueError(f"data point must be finite, got x = {x}, y = {y}")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
 @dataclass(frozen=True)

@@ -7,70 +7,119 @@ mixture evolves identically to a single fixed-share exponential-weight
 update over the continuous parameter space, which the verification module
 checks against a grid simulator.
 
-Quadratic losses keep all posteriors in stacked natural-parameter arrays
-so a round costs one batched solve; the logistic loss keeps a list of
-Laplace posteriors.
+Every learner's log-weight, birth round, mean and matrix live in buffers
+whose capacity doubles as learners are born (never beyond the horizon),
+and ``observe`` advances them in place.  Quadratic losses keep the
+posteriors in covariance form: the squared-loss factor
+exp(-(x'w - y)^2 / (2 B^2)) is one rank-one Gaussian tilt, so a round
+costs O(k d^2) and solves no system.  The logistic loss keeps Laplace
+modes and Hessians, refit over the shared observation history.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
-from scipy.special import logsumexp
 
-from .core import DataPoint, DomainSpec, LossKind, LossSpec
+from .core import DataPoint, DimensionError, DomainSpec, LossKind, LossSpec
 from .forecasters import GaussianMixture, ScalarGaussianMixture
-from .gaussian import GaussianDist, gauss_hermite_nodes, log_sq_exp_integral
+from .gaussian import GaussianDist, gauss_hermite_nodes, logsumexp, tilt_rank_one
 from .posterior import NewtonConvergenceError
 
 # Mix factors are positive for finite losses; the floor only guards
 # log(0) from underflow on extremely unlucky streams.
 LOG_FACTOR_FLOOR = -700.0
+# Learner slots allocated up front; the buffers double from here.
+_INITIAL_CAPACITY = 64
 
 
 class HorizonExceededError(RuntimeError):
     """Observed more rounds than the declared horizon."""
 
 
-@dataclass(frozen=True)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class EnsembleState:
-    loss_spec: LossSpec
-    domain: DomainSpec
-    horizon: int
-    mu: float
-    round: int
-    births: tuple
-    log_weights: np.ndarray
-    w0: np.ndarray
-    # quadratic branch: stacked natural parameters, shape (k, d, d) / (k, d)
-    precisions: np.ndarray = None
-    shifts: np.ndarray = None
-    # logistic branch: stacked Laplace modes/Hessians plus the shared
-    # observation history (learner born at round b uses history rows
-    # b-1 onward)
-    modes: np.ndarray = None
-    hessians: np.ndarray = None
-    x_hist: np.ndarray = None
-    y_hist: np.ndarray = None
+    """The live ensemble.  ``observe`` mutates it in place.
+
+    Quadratic losses hold covariance-form posteriors (``_means`` are the
+    posterior means, ``_mats`` the covariances); the logistic loss holds
+    Laplace modes in ``_means`` and their Hessians in ``_mats``, plus the
+    shared observation history (learner born at round b uses history rows
+    b-1 onward).  Only the first ``n_learners`` slots of each buffer are
+    live; the accessors below return copies or read-only views of them,
+    and a view is valid until the next ``observe``.
+    """
+
+    def __init__(self, loss_spec: LossSpec, domain: DomainSpec, horizon: int, mu: float):
+        self.loss_spec = loss_spec
+        self.domain = domain
+        self.horizon = horizon
+        self.mu = mu
+        self.round = 1
+        self.w0 = domain.center.copy()
+        self.quadratic = loss_spec.kind in (LossKind.SQUARED_1D, LossKind.LEAST_SQUARES)
+        d = domain.d
+        cap = min(horizon, _INITIAL_CAPACITY)
+        self._k = 0
+        self._log_w = np.empty(cap)
+        self._births = np.empty(cap, dtype=np.int64)
+        self._means = np.empty((cap, d))
+        self._mats = np.empty((cap, d, d))
+        self.x_hist = np.zeros((0, d))
+        self.y_hist = np.zeros(0)
+
+    def _spawn(self, log_w: float, birth: int):
+        """Append a learner at the anchor N(w0, I), growing the buffers if full."""
+        k = self._k
+        if k == self._log_w.size:
+            cap = min(2 * k, self.horizon)
+            for name in ("_log_w", "_births", "_means", "_mats"):
+                old = getattr(self, name)
+                new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+                new[:k] = old
+                setattr(self, name, new)
+        self._log_w[k] = log_w
+        self._births[k] = birth
+        self._means[k] = self.w0
+        self._mats[k] = np.eye(self.domain.d)
+        self._k = k + 1
 
     @property
     def n_learners(self) -> int:
-        return len(self.births)
+        return self._k
+
+    @property
+    def births(self) -> tuple:
+        return tuple(self._births[: self._k].tolist())
+
+    @property
+    def log_weights(self) -> np.ndarray:
+        return _read_only(self._log_w[: self._k])
 
     @property
     def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
+        return np.exp(self._log_w[: self._k])
+
+    @property
+    def modes(self) -> np.ndarray:
+        """Laplace modes (logistic loss), as a read-only view."""
+        return _read_only(self._means[: self._k])
+
+    @property
+    def hessians(self) -> np.ndarray:
+        """Laplace Hessians (logistic loss), as a read-only view."""
+        return _read_only(self._mats[: self._k])
 
     def means(self) -> np.ndarray:
-        if self.precisions is not None:
-            return np.linalg.solve(self.precisions, self.shifts[..., None])[..., 0]
-        return self.modes.copy()
+        return self._means[: self._k].copy()
 
     def covs(self) -> np.ndarray:
-        if self.precisions is not None:
-            return np.linalg.inv(self.precisions)
-        return np.linalg.inv(self.hessians)
+        if self.quadratic:
+            return self._mats[: self._k].copy()
+        return np.linalg.inv(self._mats[: self._k])
 
 
 def init(spec: LossSpec, domain: DomainSpec, horizon: int, mu: float | None = None) -> EnsembleState:
@@ -81,99 +130,62 @@ def init(spec: LossSpec, domain: DomainSpec, horizon: int, mu: float | None = No
         mu = 1.0 / horizon
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
-    w0 = domain.center.copy()
-    d = domain.d
-    state = EnsembleState(
-        loss_spec=spec,
-        domain=domain,
-        horizon=horizon,
-        mu=mu,
-        round=1,
-        births=(1,),
-        log_weights=np.zeros(1),
-        w0=w0,
-    )
-    if spec.kind in (LossKind.SQUARED_1D, LossKind.LEAST_SQUARES):
-        return replace(state, precisions=np.eye(d)[None, :, :], shifts=w0[None, :])
-    if spec.kind == LossKind.LOGISTIC:
-        return replace(
-            state,
-            modes=w0[None, :],
-            hessians=np.eye(d)[None, :, :],
-            x_hist=np.zeros((0, d)),
-            y_hist=np.zeros(0),
-        )
-    raise ValueError(f"unsupported loss family for the ensemble: {spec.kind}")
+    if spec.kind not in (LossKind.SQUARED_1D, LossKind.LEAST_SQUARES, LossKind.LOGISTIC):
+        raise ValueError(f"unsupported loss family for the ensemble: {spec.kind}")
+    state = EnsembleState(spec, domain, horizon, mu)
+    state._spawn(0.0, 1)
+    return state
 
 
 def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:
-    """Advance one round: meta reweight, base updates, newborn at weight mu."""
+    """Advance one round in place and return ``s``: meta reweight, base
+    updates, newborn at weight mu.
+
+    The point is checked (horizon, feature shape, label range) before any
+    buffer is touched, so a rejected point leaves the state as it was.
+    Arrays previously read from ``s`` by view may change or go stale.
+    """
     if s.round >= s.horizon:
         # mu = 1/T ties the weight schedule to the horizon, so a longer
         # stream would invalidate the fixed-share coupling.
         raise HorizonExceededError(f"round {s.round} reached horizon {s.horizon}")
-
-    if s.precisions is not None:
-        log_factors, precisions, shifts = _quad_step(s, point)
-        modes = hessians = x_hist = y_hist = None
+    if point.x.shape != s.w0.shape:
+        raise DimensionError(f"feature shape {point.x.shape}, expected {s.w0.shape}")
+    k = s.n_learners
+    if s.quadratic:
+        B = s.loss_spec.B
+        if abs(point.y) > B:
+            raise ValueError(f"|y| = {abs(point.y)} exceeds label bound B = {B}")
+        # exp(-(x'w - y)^2 / (2 B^2)) is the tilt with a = 1/(2B^2), b = 0, c = y
+        log_factors = tilt_rank_one(s._means[:k], s._mats[:k], point.x, 0.5 / (B * B), 0.0, point.y)
     else:
+        if point.y not in (-1.0, 1.0):
+            raise ValueError(f"logistic labels must be +/-1, got {point.y}")
         log_factors = _logistic_mix_factors(s, point)
-        modes, hessians, x_hist, y_hist = _logistic_refit(s, point)
-        precisions = shifts = None
+        modes, hessians, s.x_hist, s.y_hist = _logistic_refit(s, point)
+        s._means[:k] = modes
+        s._mats[:k] = hessians
 
-    log_factors = np.maximum(log_factors, LOG_FACTOR_FLOOR)
-    log_w = s.log_weights + log_factors
-    log_w = log_w - logsumexp(log_w)
-
-    births = s.births
+    log_w = s._log_w[:k]
+    log_w += np.maximum(log_factors, LOG_FACTOR_FLOOR)
     if s.mu > 0.0:
-        log_w = np.append(log_w + np.log1p(-s.mu), np.log(s.mu))
-        births = births + (s.round + 1,)
-        if precisions is not None:
-            precisions = np.concatenate([precisions, np.eye(s.domain.d)[None, :, :]])
-            shifts = np.concatenate([shifts, s.w0[None, :]])
-        else:
-            modes = np.concatenate([modes, s.w0[None, :]])
-            hessians = np.concatenate([hessians, np.eye(s.domain.d)[None, :, :]])
-        log_w = log_w - logsumexp(log_w)
-
-    return replace(
-        s,
-        round=s.round + 1,
-        births=births,
-        log_weights=log_w,
-        precisions=precisions,
-        shifts=shifts,
-        modes=modes,
-        hessians=hessians,
-        x_hist=x_hist,
-        y_hist=y_hist,
-    )
-
-
-def _quad_step(s: EnsembleState, point: DataPoint):
-    """Batched mix factors and exact rank-one posterior updates."""
-    B = s.loss_spec.B
-    if abs(point.y) > B:
-        raise ValueError(f"|y| = {abs(point.y)} exceeds label bound B = {B}")
-    x = point.x
-    means = np.linalg.solve(s.precisions, s.shifts[..., None])[..., 0]
-    cov_x = np.linalg.solve(s.precisions, np.broadcast_to(x, means.shape)[..., None])[..., 0]
-    mu = means @ x
-    v = np.maximum(cov_x @ x, 0.0)
-    log_factors = log_sq_exp_integral(mu, v, point.y, B)
-    b2 = B * B
-    precisions = s.precisions + np.outer(x, x)[None, :, :] / b2
-    shifts = s.shifts + (point.y / b2) * x[None, :]
-    return log_factors, precisions, shifts
+        # normalize and scale survivors by (1 - mu) in one shift
+        log_w -= logsumexp(log_w) - np.log1p(-s.mu)
+        s._spawn(np.log(s.mu), s.round + 1)
+    else:
+        log_w -= logsumexp(log_w)
+    s.round += 1
+    return s
 
 
 def _logistic_mix_factors(s: EnsembleState, point: DataPoint, n_nodes: int = 64) -> np.ndarray:
     """log E_i[exp(-eta * logistic loss)] for every learner, by quadrature
     on the 1-D pushforward of the score under each Laplace Gaussian."""
     x = point.x
-    cov_x = np.linalg.solve(s.hessians, np.broadcast_to(x, s.modes.shape)[..., None])[..., 0]
-    mu = s.modes @ x
+    k = s.n_learners
+    modes = s._means[:k]
+    cov_x = np.linalg.solve(s._mats[:k], np.broadcast_to(x, modes.shape)[..., None])[..., 0]
+    mu = modes @ x
     v = np.maximum(cov_x @ x, 0.0)
     nodes, weights = gauss_hermite_nodes(n_nodes)
     z = mu[:, None] + np.sqrt(2.0 * v)[:, None] * nodes[None, :]
@@ -189,13 +201,11 @@ def _logistic_refit(s: EnsembleState, point: DataPoint, grad_tol: float = 1e-8, 
     b_j - 1; a (rows, learners) mask realizes the per-learner sums in
     shared array operations.
     """
-    if point.y not in (-1.0, 1.0):
-        raise ValueError(f"logistic labels must be +/-1, got {point.y}")
     eta = s.loss_spec.eta
     X = np.vstack([s.x_hist, point.x])
     y = np.append(s.y_hist, point.y)
     n, k = X.shape[0], s.n_learners
-    births = np.asarray(s.births)
+    births = s._births[:k]
     mask = (np.arange(n)[:, None] >= births[None, :] - 1).astype(float)  # (n, k)
     Xw = X * np.sqrt(eta)  # reused inside the Hessian einsum
 
@@ -212,7 +222,7 @@ def _logistic_refit(s: EnsembleState, point: DataPoint, grad_tol: float = 1e-8, 
         hess = np.eye(s.domain.d)[None, :, :] + np.einsum("ni,nk,nj->kij", Xw, weights, Xw)
         return values, grads, hess
 
-    modes = s.modes
+    modes = s._means[:k]
     f_val, grads, hess = value_grad_hess(modes)
     for _ in range(max_iter):
         norms = np.linalg.norm(grads, axis=1)
@@ -255,9 +265,10 @@ def mixture_arrays(s: EnsembleState) -> GaussianMixture:
 def pushforward_mixture(s: EnsembleState, x: np.ndarray) -> ScalarGaussianMixture:
     """1-D mixture of w'x without materializing full covariances."""
     x = np.asarray(x, dtype=float)
-    if s.precisions is not None:
-        means = np.linalg.solve(s.precisions, s.shifts[..., None])[..., 0]
-        cov_x = np.linalg.solve(s.precisions, np.broadcast_to(x, means.shape)[..., None])[..., 0]
-        return ScalarGaussianMixture(s.log_weights.copy(), means @ x, np.maximum(cov_x @ x, 0.0))
-    cov_x = np.linalg.solve(s.hessians, np.broadcast_to(x, s.modes.shape)[..., None])[..., 0]
-    return ScalarGaussianMixture(s.log_weights.copy(), s.modes @ x, np.maximum(cov_x @ x, 0.0))
+    k = s.n_learners
+    means = s._means[:k]
+    if s.quadratic:
+        cov_x = s._mats[:k] @ x
+    else:
+        cov_x = np.linalg.solve(s._mats[:k], np.broadcast_to(x, means.shape)[..., None])[..., 0]
+    return ScalarGaussianMixture(s._log_w[:k].copy(), means @ x, np.maximum(cov_x @ x, 0.0))

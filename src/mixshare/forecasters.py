@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .gaussian import gauss_hermite_nodes, log_sq_exp_integral
+from .gaussian import gauss_hermite_nodes, log_sq_exp_integral, logsumexp
 
 PROB_CLAMP = 1e-12
 

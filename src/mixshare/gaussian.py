@@ -2,7 +2,8 @@
 
 Closed-form entropy and KL divergence, 1-D pushforwards of multivariate
 Gaussians, the Gaussian integral of a squared exponential, quadratic-tilt
-integrals, and Gauss-Hermite quadrature.  All integrals are computed in
+integrals, the in-place rank-one tilt of a stack of Gaussians, a numpy
+log-sum-exp, and Gauss-Hermite quadrature.  All integrals are computed in
 log-space and exponentiated once, so that long products of per-round
 weight factors stay stable.
 """
@@ -146,6 +147,42 @@ def log_tilted_gauss_integral(mu, v, a: float, b: float):
     #   -(1/2) ln(1 + 2av) + (-a mu^2 - b mu + v (2a mu + b)^2 / (2 (1+2av)))
     one_plus = 1.0 + 2.0 * a * v
     return -0.5 * np.log(one_plus) - a * mu * mu - b * mu + v * (2.0 * a * mu + b) ** 2 / (2.0 * one_plus)
+
+
+def tilt_rank_one(means: np.ndarray, covs: np.ndarray, x: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
+    """Tilt every N(means[i], covs[i]) by exp(-a s^2 - b s), s = x'w - c, in place.
+
+    The tilt adds 2a x x' to each precision, so Sherman-Morrison gives
+    cov' = cov - 2a (cov x)(cov x)' / (1 + 2a v) with v = x' cov x, and
+    the mean moves to m' = m - (2a mu + b) cov x / (1 + 2a v) with
+    mu = x'm - c.  Symmetric covariances stay exactly symmetric and no
+    system is solved.  Returns the per-component log normalizers
+    log E_i[exp(-a s^2 - b s)]; the caller owns the component weights.
+    """
+    cov_x = covs @ x  # (k, d)
+    v = np.maximum(cov_x @ x, 0.0)
+    mu = means @ x - c
+    log_factors = log_tilted_gauss_integral(mu, v, a, b)
+    one_plus = 1.0 + 2.0 * a * v
+    means -= ((2.0 * a * mu + b) / one_plus)[:, None] * cov_x
+    covs -= (2.0 * a / one_plus)[:, None, None] * (cov_x[:, :, None] * cov_x[:, None, :])
+    return log_factors
+
+
+def logsumexp(a, axis=None, b=None):
+    """ln sum(b * exp(a)) over ``axis`` (all entries when None).
+
+    Shifts by the finite maximum so no term overflows; a slice whose
+    entries are all -inf gives -inf without a warning.
+    """
+    a = np.asarray(a, dtype=float)
+    shift = a.max(axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    terms = np.exp(a - shift)
+    if b is not None:
+        terms = terms * b
+    with np.errstate(divide="ignore"):
+        return np.log(terms.sum(axis=axis)) + shift.squeeze(axis=axis)
 
 
 def tilted_gauss_integral(pf: Pushforward1D, a: float, b: float) -> float:

@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import DomainSpec
 from .forecasters import GaussianMixture
-from .gaussian import GaussianDist, LOG_2PI, log_tilted_gauss_integral
+from .gaussian import LOG_2PI, logsumexp, tilt_rank_one
 
 
 class ConstraintViolationError(ValueError):
@@ -63,9 +62,8 @@ class MixtureInM:
         m = self.mixture
         if abs(float(logsumexp(m.log_w))) > 1e-12:
             raise ConstraintViolationError("component weights do not sum to 1")
-        for mean in m.means:
-            if not domain.contains(mean, tol=tol):
-                raise ConstraintViolationError("component mean outside the domain")
+        if not domain.contains(m.means, tol=tol):
+            raise ConstraintViolationError("component mean outside the domain")
         eigs = np.linalg.eigvalsh(m.covs)
         lo, hi = 1.0 / self.horizon, 1.0
         if np.min(eigs) < lo - tol or np.max(eigs) > hi + tol:
@@ -111,38 +109,22 @@ def predict_mean(s: OcoState) -> np.ndarray:
 def ew_update_surrogate(m: MixtureInM, f: SurrogateLoss) -> GaussianMixture:
     """Exact Gaussian tilt by exp(-gamma * f / 2).
 
-    With s = g'(w - w_ref) the tilt is exp(-a s^2 - b s) for a = gamma^2/4
-    and b = gamma/2, so each component's precision gains (gamma^2/2) g g',
-    its mean shifts in closed form (Sherman-Morrison on the covariance),
-    and its log-weight gains the 1-D tilted Gaussian integral along g.
+    With s = g'w - g'w_ref the tilt is exp(-a s^2 - b s) for a = gamma^2/4
+    and b = gamma/2: ``gaussian.tilt_rank_one`` applied along g to copies
+    of the components, whose log-weights gain the returned log factors.
     """
     mix = m.mixture
-    g, c = f.g, float(f.g @ f.w_ref)
-    a = f.gamma * f.gamma / 4.0
-    b = f.gamma / 2.0
-    if not np.any(g):
-        return GaussianMixture(mix.log_w.copy(), mix.means.copy(), mix.covs.copy())
-
-    cov_g = np.einsum("kij,j->ki", mix.covs, g)  # (k, d)
-    v = np.maximum(np.einsum("ki,i->k", cov_g, g), 0.0)
-    mu = mix.means @ g
-
-    one_plus = 1.0 + 2.0 * a * v
-    kfac = 2.0 * a / one_plus
-    covs = mix.covs - kfac[:, None, None] * np.einsum("ki,kj->kij", cov_g, cov_g)
-    # mean' = m - kfac (g'm) cov_g + (2a c - b) cov_g / (1 + 2av)
-    coef = -kfac * mu + (2.0 * a * c - b) / one_plus
-    means = mix.means + coef[:, None] * cov_g
-
-    log_w = mix.log_w + log_tilted_gauss_integral(mu - c, v, a, b)
-    log_w = log_w - logsumexp(log_w)
-    return GaussianMixture(log_w, means, 0.5 * (covs + np.swapaxes(covs, 1, 2)))
+    means, covs = mix.means.copy(), mix.covs.copy()
+    log_w = mix.log_w + tilt_rank_one(
+        means, covs, f.g, f.gamma * f.gamma / 4.0, f.gamma / 2.0, float(f.g @ f.w_ref)
+    )
+    return GaussianMixture(log_w - logsumexp(log_w), means, covs)
 
 
 def approx_project_to_M(mix: GaussianMixture, domain: DomainSpec, T: int) -> MixtureInM:
     """Per-component repair: project means onto the ball, clamp covariance
     eigenvalues to [1/T, 1] in the eigenbasis; weights unchanged."""
-    means = np.stack([domain.project(mean) for mean in mix.means])
+    means = domain.project(mix.means)
     eigvals, eigvecs = np.linalg.eigh(mix.covs)
     eigvals = np.clip(eigvals, 1.0 / T, 1.0)
     covs = np.einsum("kij,kj,klj->kil", eigvecs, eigvals, eigvecs)

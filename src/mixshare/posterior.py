@@ -31,7 +31,9 @@ class QuadraticPosterior:
 
     mean = precision^{-1} shift and cov = precision^{-1}; the prior
     N(w0, I_d) contributes precision I and shift w0, and each observation
-    adds the exact rank-one terms x x'/B^2 and y x/B^2.
+    adds the exact rank-one terms x x'/B^2 and y x/B^2.  The ensemble
+    keeps covariance form instead (``gaussian.tilt_rank_one``); this
+    recursion is the independent reference it is tested against.
     """
 
     precision: np.ndarray

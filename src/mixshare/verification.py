@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import DataPoint, LossKind, LossSpec, logistic_loss
 
@@ -79,6 +78,9 @@ def grid_fixed_share_round(
 
 def grid_mix_loss(p: GridDensity, y: float, spec: LossSpec) -> float:
     """-(1/eta) ln sum_j dz p_j exp(-eta loss(z_j, y)), in log-space."""
+    # scipy's log-sum-exp, so the oracle shares no code with the closed forms
+    from scipy.special import logsumexp
+
     losses = _loss_on_grid(p.grid, spec, DataPoint(np.ones(1), y))
     with np.errstate(divide="ignore"):
         log_terms = np.log(p.values * p.dz) - spec.eta * losses

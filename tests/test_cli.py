@@ -1,7 +1,11 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import mixshare
 from mixshare import cli
 
 CONFIG = """
@@ -72,3 +76,11 @@ def test_run_rejects_bad_config(tmp_path):
 
     with pytest.raises(ConfigError):
         cli.main(["run", "--config", str(path)])
+
+
+def test_entry_points_import_without_scipy_special():
+    src = str(pathlib.Path(mixshare.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, mixshare.bench, mixshare.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

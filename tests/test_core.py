@@ -75,6 +75,24 @@ def test_domain_contains_interior_point():
     assert dom.diameter == 4.0
 
 
+def test_domain_stack_is_row_wise():
+    rng = np.random.default_rng(7)
+    dom = DomainSpec(3, 1.0, center=np.array([0.5, 0.0, -0.5]))
+    stack = dom.center + rng.uniform(-1.5, 1.5, size=(40, 3))
+    inside = [dom.contains(row) for row in stack]
+    assert 0 < sum(inside) < len(inside)
+    assert np.array_equal(dom.project(stack), np.stack([dom.project(row) for row in stack]))
+    assert dom.contains(dom.project(stack), tol=1e-12)
+    assert not dom.contains(stack)
+    assert dom.contains(stack[inside])
+
+
+@pytest.mark.parametrize("x, y", [([1.0, np.nan], 0.0), ([1.0, np.inf], 0.0), ([1.0, 0.0], np.nan), ([1.0, 0.0], -np.inf)])
+def test_data_point_rejects_non_finite(x, y):
+    with pytest.raises(ValueError):
+        DataPoint(np.array(x), y)
+
+
 def test_path_length_stationary_is_zero():
     seq = ComparatorSequence([np.zeros(2)] * 5)
     assert path_length(seq) == 0.0

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixshare import ensemble
 from mixshare.core import DataPoint, DomainSpec, LossSpec
+from mixshare.gaussian import logsumexp
 from mixshare.posterior import LaplacePosterior, QuadraticPosterior, laplace_update, quad_update
 
 
@@ -41,9 +43,9 @@ def test_observe_spawns_newborn_at_anchor():
     assert s.births == (1, 2)
     # newborn carries exactly the fixed-share weight
     assert s.weights[-1] == pytest.approx(s.mu)
-    # newborn posterior is the anchor
-    assert np.allclose(s.precisions[-1], np.eye(1))
-    assert np.allclose(s.shifts[-1], 0.0)
+    # newborn posterior is the anchor N(w0, I)
+    assert np.array_equal(s.covs()[-1], np.eye(1))
+    assert np.array_equal(s.means()[-1], s.w0)
 
 
 def test_weights_stay_normalized():
@@ -74,19 +76,65 @@ def test_horizon_guard():
         ensemble.observe(s, pt)
 
 
-def test_quadratic_branch_matches_per_learner_recursion():
-    # batched natural-parameter updates vs the standalone posterior module
-    rng = np.random.default_rng(32)
-    B = 1.0
-    s, _ = _squared_state(T=20, d=2, B=B)
-    refs = [QuadraticPosterior.from_anchor(np.zeros(2))]
-    for t in range(12):
-        pt = DataPoint(rng.standard_normal(2), float(np.clip(rng.standard_normal(), -B, B)))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(0, 30), st.sampled_from([0.5, 1.0, 3.0]))
+def test_quadratic_branch_matches_per_learner_recursion(seed, d, n, B):
+    # covariance-form rank-one tilts vs the natural-parameter recursion of
+    # the standalone posterior module, learner by learner
+    rng = np.random.default_rng(seed)
+    s, _ = _squared_state(T=n + 1, d=d, B=B)
+    refs = [QuadraticPosterior.from_anchor(np.zeros(d))]
+    for t in range(n):
+        pt = DataPoint(rng.standard_normal(d), float(np.clip(rng.standard_normal(), -B, B)))
         s = ensemble.observe(s, pt)
         refs = [quad_update(p, pt, B) for p in refs]
-        refs.append(QuadraticPosterior.from_anchor(np.zeros(2), birth_round=t + 2))
-    assert np.allclose(s.means(), np.stack([p.mean for p in refs]), atol=1e-10)
-    assert np.allclose(s.covs(), np.stack([p.cov for p in refs]), atol=1e-10)
+        refs.append(QuadraticPosterior.from_anchor(np.zeros(d), birth_round=t + 2))
+    covs = s.covs()
+    assert np.allclose(s.means(), np.stack([p.mean for p in refs]), rtol=0.0, atol=1e-10)
+    assert np.allclose(covs, np.stack([p.cov for p in refs]), rtol=0.0, atol=1e-10)
+    assert abs(logsumexp(s.log_weights)) <= 1e-12
+    assert np.array_equal(covs, np.swapaxes(covs, 1, 2))
+    assert np.all(np.linalg.eigvalsh(covs) > 0.0)
+
+
+def test_buffer_growth_keeps_every_number(monkeypatch):
+    rng = np.random.default_rng(35)
+    points = [DataPoint(rng.standard_normal(3), float(np.clip(rng.standard_normal(), -1, 1))) for _ in range(20)]
+    preallocated, _ = _squared_state(T=30, d=3)
+    monkeypatch.setattr(ensemble, "_INITIAL_CAPACITY", 1)
+    doubling, _ = _squared_state(T=30, d=3)
+    for pt in points:
+        preallocated = ensemble.observe(preallocated, pt)
+        doubling = ensemble.observe(doubling, pt)
+    assert doubling.births == preallocated.births == tuple(range(1, 22))
+    assert np.array_equal(doubling.log_weights, preallocated.log_weights)
+    assert np.array_equal(doubling.means(), preallocated.means())
+    assert np.array_equal(doubling.covs(), preallocated.covs())
+
+
+def test_observe_advances_in_place_with_read_only_views():
+    s, _ = _squared_state(T=10)
+    assert ensemble.observe(s, DataPoint(np.ones(1), 0.2)) is s
+    with pytest.raises(ValueError):
+        s.log_weights[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "point",
+    [DataPoint(np.ones(2), 1.5), DataPoint(np.ones(3), 0.0)],
+    ids=["label_above_B", "wrong_dimension"],
+)
+def test_rejected_point_leaves_state_untouched(point):
+    rng = np.random.default_rng(36)
+    s, _ = _squared_state(T=10, d=2)
+    for _ in range(3):
+        s = ensemble.observe(s, DataPoint(rng.standard_normal(2), 0.1))
+    before = (s.round, s.births, s.log_weights.copy(), s.means(), s.covs())
+    with pytest.raises(ValueError):
+        ensemble.observe(s, point)
+    assert (s.round, s.births) == before[:2]
+    for got, want in zip((s.log_weights, s.means(), s.covs()), before[2:]):
+        assert np.array_equal(got, want)
 
 
 def test_logistic_branch_matches_per_learner_laplace():

@@ -12,6 +12,7 @@ from mixshare.gaussian import (
     kl_divergence,
     log_sq_exp_integral,
     log_tilted_gauss_integral,
+    logsumexp,
     pushforward,
     sq_exp_integral,
     tilted_gauss_integral,
@@ -166,3 +167,19 @@ def test_gauss_hermite_exact_for_polynomials():
 def test_gauss_hermite_unsupported_count():
     with pytest.raises(ValueError):
         gauss_hermite_nodes(17)
+
+
+def test_logsumexp_matches_scipy():
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    rng = np.random.default_rng(8)
+    a = rng.normal(0.0, 300.0, size=(6, 9))
+    a[1, :4] = -np.inf
+    a[2, :] = -np.inf
+    a[3, 2] = np.inf
+    b = rng.uniform(0.0, 2.0, size=9)
+    for kwargs in ({}, {"axis": 1}, {"axis": 0}, {"axis": 1, "b": b}):
+        want = scipy_logsumexp(a, **kwargs)
+        assert np.allclose(logsumexp(a, **kwargs), want, rtol=1e-14, atol=0.0, equal_nan=True)
+    assert logsumexp(np.full(4, -np.inf)) == -np.inf
+    assert logsumexp(a[0]) == pytest.approx(scipy_logsumexp(a[0]), rel=1e-14)

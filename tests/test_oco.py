@@ -143,6 +143,27 @@ def test_validate_rejects_violations():
         bad_eig.validate(dom)
 
 
+def test_validate_rejects_one_bad_component_among_many():
+    rng = np.random.default_rng(46)
+    dom = DomainSpec(3, 1.0)
+    k = 12
+    means = 0.3 * dom.project(rng.standard_normal((k, 3)))
+    covs = np.stack([np.diag(rng.uniform(0.2, 1.0, 3)) for _ in range(k)])
+    good = GaussianMixture(np.full(k, -np.log(k)), means, covs)
+    oco.MixtureInM(good, horizon=10).validate(dom)
+    bad_means = means.copy()
+    bad_means[7] = [0.0, 1.5, 0.0]
+    bad_covs = covs.copy()
+    bad_covs[4] = np.diag([0.5, 0.01, 0.5])  # eigenvalue below 1/T
+    for mix in (
+        GaussianMixture(good.log_w, bad_means, covs),
+        GaussianMixture(good.log_w, means, bad_covs),
+        GaussianMixture(good.log_w + 0.1, means, covs),
+    ):
+        with pytest.raises(oco.ConstraintViolationError):
+            oco.MixtureInM(mix, horizon=10).validate(dom)
+
+
 def test_oco_round_preserves_membership():
     rng = np.random.default_rng(42)
     dom = DomainSpec(3, 1.0)
