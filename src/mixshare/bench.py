@@ -65,6 +65,8 @@ class ExperimentConfig:
             )
         if isinstance(self.algorithms, list):
             object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        if not self.algorithms:
+            raise ConfigError("algorithms must name at least one algorithm")
 
     def loss_spec(self) -> LossSpec:
         if self.task == "squared1d":
@@ -96,8 +98,8 @@ _CONFIG_TYPES = {
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Flat ``key = value`` lines; '#' starts a comment; unknown keys are
-    a hard error."""
+    """Flat ``key = value`` lines; '#' starts a comment; an unknown or
+    repeated key, or a value of the wrong type, is a hard error."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -109,7 +111,12 @@ def parse_config(text: str) -> ExperimentConfig:
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[key] = _CONFIG_TYPES[key](val)
+        if key in values:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        try:
+            values[key] = _CONFIG_TYPES[key](val)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
     return ExperimentConfig(**values)
 
 
@@ -243,9 +250,7 @@ def _run_ensemble(cfg: ExperimentConfig, bundle: StreamBundle, mu: float | None)
         tic = time.perf_counter_ns()
         smix = ensemble.pushforward_mixture(state, pt.x)
         if spec.kind == LossKind.LOGISTIC:
-            p = forecasters.mean_sigmoid(smix)
-            p = float(np.clip(p, forecasters.PROB_CLAMP, 1.0 - forecasters.PROB_CLAMP))
-            z = float(np.log(p / (1.0 - p)))
+            z = forecasters.predict_logistic(smix)
         else:
             z = forecasters.predict_squared_1d(smix, cfg.B)
         losses[t] = _pred_loss(spec.kind, z, pt.y)

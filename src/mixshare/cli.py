@@ -82,7 +82,7 @@ def _suite_forecasters(seed: int):
             (z - y) ** 2 - forecasters.mix_loss_squared(mix, y, B).value for y in (-B, B)
         )
         checks.append((f"squared_gap_{i}", gap <= 1e-9))
-        z_log = float(np.log(forecasters.mean_sigmoid(mix) / (1 - forecasters.mean_sigmoid(mix))))
+        z_log = forecasters.predict_logistic(mix)
         for y in (-1.0, 1.0):
             loss = np.logaddexp(0.0, -y * z_log)
             mloss = forecasters.mix_loss_logistic(mix, y).value
@@ -154,21 +154,24 @@ def main(argv=None) -> int:
 
     if args.command == "verify":
         return 0 if run_suite(args.suite, args.seed) else 1
+    try:
+        cfg = bench.parse_config(pathlib.Path(args.config).read_text())
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
 
-    cfg = bench.parse_config(pathlib.Path(args.config).read_text())
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        if args.command == "run":
+            result = bench.run_experiment(cfg)
+            sys.stdout.write(result.summary_text())
+            return 0
 
-    if args.command == "run":
-        result = bench.run_experiment(cfg)
-        sys.stdout.write(result.summary_text())
-        return 0
-
-    if args.values is not None:
-        values = [float(v) for v in args.values.split(",")]
-    else:
-        values = [500, 1000, 2000] if args.axis == "T" else [1.0, 4.0, 16.0]
-    rows, slope = bench.sweep(cfg, args.axis, values)
+        if args.values is not None:
+            values = [float(v) for v in args.values.split(",")]
+        else:
+            values = [500, 1000, 2000] if args.axis == "T" else [1.0, 4.0, 16.0]
+        rows, slope = bench.sweep(cfg, args.axis, values)
+    except bench.ConfigError as exc:
+        print(f"mixshare: config error: {exc}", file=sys.stderr)
+        return 2
     print("T,path_length,final_regret")
     for row in rows:
         print(f"{row.T},{row.path_length:.6g},{row.final_regret:.6g}")

@@ -6,7 +6,7 @@ functions shared by all learners and the benchmark harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -16,7 +16,6 @@ class LossKind(Enum):
     SQUARED_1D = "squared1d"
     LEAST_SQUARES = "least_squares"
     LOGISTIC = "logistic"
-    GENERIC_EXP_CONCAVE = "generic"
 
 
 class LabelRangeError(ValueError):
@@ -32,15 +31,12 @@ class LossSpec:
     """A loss family together with its mixability/exp-concavity coefficient.
 
     ``eta`` defaults to 1/(2 B^2) for the squared family and 1 for the
-    logistic loss.  ``beta`` (smoothness) is metadata only and is never
-    enforced at runtime.
+    logistic loss.
     """
 
     kind: LossKind
     eta: float
     B: float = 1.0
-    G: float = 1.0
-    beta: float | None = None
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -50,19 +46,15 @@ class LossSpec:
 
     @staticmethod
     def squared_1d(B: float = 1.0, eta: float | None = None) -> "LossSpec":
-        return LossSpec(LossKind.SQUARED_1D, eta if eta is not None else 1.0 / (2.0 * B * B), B=B, beta=2.0)
+        return LossSpec(LossKind.SQUARED_1D, eta if eta is not None else 1.0 / (2.0 * B * B), B=B)
 
     @staticmethod
     def least_squares(B: float = 1.0, eta: float | None = None) -> "LossSpec":
-        return LossSpec(LossKind.LEAST_SQUARES, eta if eta is not None else 1.0 / (2.0 * B * B), B=B, beta=2.0)
+        return LossSpec(LossKind.LEAST_SQUARES, eta if eta is not None else 1.0 / (2.0 * B * B), B=B)
 
     @staticmethod
     def logistic(eta: float = 1.0) -> "LossSpec":
         return LossSpec(LossKind.LOGISTIC, eta)
-
-    @staticmethod
-    def generic(eta: float, G: float) -> "LossSpec":
-        return LossSpec(LossKind.GENERIC_EXP_CONCAVE, eta, G=G)
 
 
 @dataclass(frozen=True)
@@ -98,10 +90,18 @@ class DomainSpec:
         w = np.asarray(w, dtype=float)
         delta = w - self.center
         norms = np.linalg.norm(delta, axis=-1, keepdims=True)
-        if (norms <= self.R).all():
+        inside = norms <= self.R
+        if inside.all():
             return w
-        # rows already inside are returned unchanged, bit for bit
-        return np.where(norms <= self.R, w, self.center + delta * (self.R / np.maximum(norms, self.R)))
+        # Rows already inside are returned unchanged, bit for bit.  A scaled
+        # row can round to just outside, so its radius shrinks until it is in.
+        radius, shrink = np.full_like(norms, self.R), np.finfo(float).eps * self.R
+        while True:
+            out = np.where(inside, w, self.center + delta * (radius / np.maximum(norms, self.R)))
+            over = np.linalg.norm(out - self.center, axis=-1, keepdims=True) > self.R
+            if not over.any():
+                return out
+            radius, shrink = np.where(over, radius - shrink, radius), 2.0 * shrink
 
 
 @dataclass(frozen=True)
@@ -152,10 +152,7 @@ def loss_eval(spec: LossSpec, prediction, point: DataPoint) -> float:
         if w.shape != point.x.shape:
             raise DimensionError(f"weight shape {w.shape} vs feature shape {point.x.shape}")
         return float(w @ point.x - y) ** 2
-    if spec.kind == LossKind.LOGISTIC:
-        z = float(prediction)
-        return logistic_loss(z, y)
-    raise ValueError(f"loss_eval is undefined for {spec.kind}")
+    return logistic_loss(float(prediction), y)
 
 
 def logistic_loss(z, y):

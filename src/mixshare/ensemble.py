@@ -13,7 +13,9 @@ and ``observe`` advances them in place.  Quadratic losses keep the
 posteriors in covariance form: the squared-loss factor
 exp(-(x'w - y)^2 / (2 B^2)) is one rank-one Gaussian tilt, so a round
 costs O(k d^2) and solves no system.  The logistic loss keeps Laplace
-modes and Hessians, refit over the shared observation history.
+modes and Hessians, refit over the shared observation history by
+``posterior.laplace_refit``; its mix factors come from
+``posterior.log_logistic_mix_factors`` on ``pushforward_mixture``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 
 from .core import DataPoint, DimensionError, DomainSpec, LossKind, LossSpec
 from .forecasters import GaussianMixture, ScalarGaussianMixture
-from .gaussian import GaussianDist, gauss_hermite_nodes, logsumexp, tilt_rank_one
-from .posterior import NewtonConvergenceError
+from .gaussian import GaussianDist, logsumexp, tilt_rank_one
+from .posterior import laplace_refit, log_logistic_mix_factors
 
 # Mix factors are positive for finite losses; the floor only guards
 # log(0) from underflow on extremely unlucky streams.
@@ -130,8 +132,6 @@ def init(spec: LossSpec, domain: DomainSpec, horizon: int, mu: float | None = No
         mu = 1.0 / horizon
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
-    if spec.kind not in (LossKind.SQUARED_1D, LossKind.LEAST_SQUARES, LossKind.LOGISTIC):
-        raise ValueError(f"unsupported loss family for the ensemble: {spec.kind}")
     state = EnsembleState(spec, domain, horizon, mu)
     state._spawn(0.0, 1)
     return state
@@ -161,10 +161,12 @@ def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:
     else:
         if point.y not in (-1.0, 1.0):
             raise ValueError(f"logistic labels must be +/-1, got {point.y}")
-        log_factors = _logistic_mix_factors(s, point)
-        modes, hessians, s.x_hist, s.y_hist = _logistic_refit(s, point)
-        s._means[:k] = modes
-        s._mats[:k] = hessians
+        eta = s.loss_spec.eta
+        pf = pushforward_mixture(s, point.x)
+        log_factors = log_logistic_mix_factors(pf.mu, pf.v, point.y, eta)
+        X, y = np.vstack([s.x_hist, point.x]), np.append(s.y_hist, point.y)
+        s._means[:k], s._mats[:k] = laplace_refit(s._means[:k], s.w0, X, y, s._births[:k] - 1, eta)
+        s.x_hist, s.y_hist = X, y
 
     log_w = s._log_w[:k]
     log_w += np.maximum(log_factors, LOG_FACTOR_FLOOR)
@@ -176,75 +178,6 @@ def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:
         log_w -= logsumexp(log_w)
     s.round += 1
     return s
-
-
-def _logistic_mix_factors(s: EnsembleState, point: DataPoint, n_nodes: int = 64) -> np.ndarray:
-    """log E_i[exp(-eta * logistic loss)] for every learner, by quadrature
-    on the 1-D pushforward of the score under each Laplace Gaussian."""
-    x = point.x
-    k = s.n_learners
-    modes = s._means[:k]
-    cov_x = np.linalg.solve(s._mats[:k], np.broadcast_to(x, modes.shape)[..., None])[..., 0]
-    mu = modes @ x
-    v = np.maximum(cov_x @ x, 0.0)
-    nodes, weights = gauss_hermite_nodes(n_nodes)
-    z = mu[:, None] + np.sqrt(2.0 * v)[:, None] * nodes[None, :]
-    log_vals = -s.loss_spec.eta * np.logaddexp(0.0, -point.y * z)
-    return np.minimum(logsumexp(log_vals, b=weights[None, :] / np.sqrt(np.pi), axis=1), 0.0)
-
-
-def _logistic_refit(s: EnsembleState, point: DataPoint, grad_tol: float = 1e-8, max_iter: int = 50):
-    """Append the observation and refit every learner's Laplace mode by a
-    batched, warm-started damped Newton iteration.
-
-    Learner j (birth round b_j) owns the history suffix starting at row
-    b_j - 1; a (rows, learners) mask realizes the per-learner sums in
-    shared array operations.
-    """
-    eta = s.loss_spec.eta
-    X = np.vstack([s.x_hist, point.x])
-    y = np.append(s.y_hist, point.y)
-    n, k = X.shape[0], s.n_learners
-    births = s._births[:k]
-    mask = (np.arange(n)[:, None] >= births[None, :] - 1).astype(float)  # (n, k)
-    Xw = X * np.sqrt(eta)  # reused inside the Hessian einsum
-
-    def value_grad_hess(modes):
-        delta = modes - s.w0[None, :]
-        z = X @ modes.T  # (n, k)
-        losses = np.logaddexp(0.0, -y[:, None] * z)
-        values = 0.5 * np.sum(delta * delta, axis=1) + eta * np.sum(mask * losses, axis=0)
-        p = 1.0 / (1.0 + np.exp(-np.abs(z)))
-        sig = np.where(z >= 0, p, 1.0 - p)  # sigma(z)
-        coeff = -y[:, None] * np.where(y[:, None] > 0, 1.0 - sig, sig)
-        grads = delta + eta * (X.T @ (mask * coeff)).T
-        weights = mask * sig * (1.0 - sig)
-        hess = np.eye(s.domain.d)[None, :, :] + np.einsum("ni,nk,nj->kij", Xw, weights, Xw)
-        return values, grads, hess
-
-    modes = s._means[:k]
-    f_val, grads, hess = value_grad_hess(modes)
-    for _ in range(max_iter):
-        norms = np.linalg.norm(grads, axis=1)
-        if np.max(norms) <= grad_tol:
-            return modes, hess, X, y
-        steps = np.linalg.solve(hess, grads[..., None])[..., 0]
-        slack = 1e-12 * np.maximum(1.0, np.abs(f_val))
-        alpha = np.ones(k)
-        for _ in range(40):
-            trial = modes - alpha[:, None] * steps
-            f_new, g_new, h_new = value_grad_hess(trial)
-            bad = f_new > f_val + slack
-            if not np.any(bad):
-                break
-            alpha = np.where(bad, 0.5 * alpha, alpha)
-        modes, f_val, grads, hess = trial, f_new, g_new, h_new
-    norms = np.linalg.norm(grads, axis=1)
-    if np.max(norms) <= grad_tol:
-        return modes, hess, X, y
-    raise NewtonConvergenceError(
-        f"worst gradient norm {np.max(norms):.3e} after {max_iter} Newton iterations"
-    )
 
 
 def mixture(s: EnsembleState) -> list:

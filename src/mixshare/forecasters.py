@@ -95,9 +95,9 @@ def mean_sigmoid(mix: ScalarGaussianMixture, n_nodes: int = 64) -> float:
     return float(np.exp(logsumexp(mix.log_w, b=per_comp)))
 
 
-def predict_logistic(mix: GaussianMixture, x: np.ndarray, n_nodes: int = 64) -> float:
-    """Inverse sigmoid of the mixture-averaged probability sigma(w'x)."""
-    p = mean_sigmoid(mix.pushforward(x), n_nodes)
+def predict_logistic(mix: ScalarGaussianMixture, n_nodes: int = 64) -> float:
+    """Inverse sigmoid of the mixture-averaged probability sigma(z)."""
+    p = mean_sigmoid(mix, n_nodes)
     p = float(np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))
     return float(np.log(p / (1.0 - p)))
 

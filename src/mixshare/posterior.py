@@ -2,8 +2,13 @@
 
 Quadratic losses admit an exact Gaussian recursion in natural parameters
 (precision, shift); the logistic loss uses a Laplace approximation refit
-by warm-started Newton after each observation.  Both expose the per-round
-mix factor E_P[exp(-eta * loss)] consumed by the meta-learner.
+by warm-started damped Newton after each observation.  ``laplace_refit``
+is the package's only Newton refit: it refits a batch of learners, each
+over its own suffix of one shared history, so the ensemble refits all of
+its learners in one call and ``laplace_update`` is the one-learner call.
+``log_logistic_mix_factors`` is likewise the one logistic quadrature of
+the per-round mix factor E_P[exp(-eta * loss)] consumed by the
+meta-learner.
 """
 
 from __future__ import annotations
@@ -12,17 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataPoint, LabelRangeError, logistic_loss
-from .gaussian import (
-    GaussianDist,
-    Pushforward1D,
-    gauss_hermite_expect,
-    log_sq_exp_integral,
-)
+from .core import DataPoint, LabelRangeError
+from .gaussian import GaussianDist, gauss_hermite_nodes, log_sq_exp_integral, logsumexp
 
 
 class NewtonConvergenceError(RuntimeError):
-    """Laplace mode refit failed to reach the gradient tolerance."""
+    """Laplace mode refit found no decrease or missed the gradient tolerance."""
 
 
 @dataclass(frozen=True)
@@ -147,81 +147,94 @@ class LaplacePosterior:
         return GaussianDist(self.mode, 0.5 * (cov + cov.T))
 
 
-def _laplace_objective(w, w0, X, y, eta):
-    delta = w - w0
-    reg = 0.5 * float(delta @ delta)
-    if X.shape[0] == 0:
-        return reg
-    return reg + eta * float(np.sum(logistic_loss(X @ w, y)))
+GRAD_TOL = 1e-8
+MAX_NEWTON_ITER = 50
+MAX_HALVINGS = 40
 
 
-def _laplace_grad_hess(w, w0, X, y, eta):
-    _, grad, hess = _laplace_value_grad_hess(w, w0, X, y, eta)
-    return grad, hess
+def _laplace_value_grad_hess(modes, w0, X, y, mask, eta):
+    """F_j, its gradient and its Hessian at ``modes[j]`` for every learner j.
+
+    F_j(w) = ||w - w0||^2 / 2 + eta * sum of logistic losses over the rows
+    of (X, y) where ``mask[:, j]`` is 1.
+    """
+    delta = modes - w0[None, :]
+    z = X @ modes.T  # (n, k)
+    losses = np.logaddexp(0.0, -y[:, None] * z)
+    values = 0.5 * np.sum(delta * delta, axis=1) + eta * np.sum(mask * losses, axis=0)
+    p = 1.0 / (1.0 + np.exp(-np.abs(z)))
+    sig = np.where(z >= 0, p, 1.0 - p)  # sigma(z)
+    coeff = -y[:, None] * np.where(y[:, None] > 0, 1.0 - sig, sig)
+    grads = delta + eta * (X.T @ (mask * coeff)).T
+    weights = mask * sig * (1.0 - sig)
+    Xw = X * np.sqrt(eta)
+    hess = np.eye(w0.size)[None, :, :] + np.einsum("ni,nk,nj->kij", Xw, weights, Xw)
+    return values, grads, hess
 
 
-def _laplace_value_grad_hess(w, w0, X, y, eta):
-    """Objective, gradient, and Hessian of F in one pass over the data."""
-    delta = w - w0
-    value = 0.5 * float(delta @ delta)
-    grad = delta
-    hess = np.eye(w.size)
-    if X.shape[0] > 0:
-        z = X @ w
-        value += eta * float(np.sum(np.logaddexp(0.0, -y * z)))
-        p = 1.0 / (1.0 + np.exp(-np.abs(z)))  # sigma(|z|), stable
-        sig = np.where(z >= 0, p, 1.0 - p)  # sigma(z)
-        grad = grad + eta * (X.T @ (-y * (1.0 - np.where(y > 0, sig, 1.0 - sig))))
-        weights = sig * (1.0 - sig)
-        hess = hess + eta * (X.T * weights) @ X
-    return value, grad, hess
+def laplace_refit(modes, w0, X, y, starts, eta):
+    """Refit every Laplace mode by batched, warm-started damped Newton.
 
-
-def laplace_update(
-    p: LaplacePosterior,
-    point: DataPoint,
-    eta: float,
-    grad_tol: float = 1e-8,
-    max_iter: int = 50,
-) -> LaplacePosterior:
-    """Append an observation and refit the Laplace mode by damped Newton."""
-    if point.y not in (-1.0, 1.0):
-        raise LabelRangeError(f"logistic labels must be +/-1, got {point.y}")
-    X = np.vstack([p.X, point.x])
-    y = np.append(p.y, point.y)
-    w = p.mode.copy()  # warm start from the previous mode
-    f_val, grad, hess = _laplace_value_grad_hess(w, p.w0, X, y, eta)
-    for _ in range(max_iter):
-        if np.linalg.norm(grad) <= grad_tol:
-            return LaplacePosterior(p.w0, X, y, w, hess, p.birth_round)
-        step = np.linalg.solve(hess, grad)
+    Learner j minimizes F_j over the history rows ``starts[j]:`` of the
+    shared (X, y), starting from ``modes[j]``; a (rows, learners) mask
+    realizes the per-learner sums in shared array operations.  Returns
+    the new (modes, hessians).  Raises ``NewtonConvergenceError`` when a
+    line search finds no decrease or the gradient tolerance is not met.
+    """
+    mask = (np.arange(X.shape[0])[:, None] >= np.asarray(starts)[None, :]).astype(float)  # (n, k)
+    f_val, grads, hess = _laplace_value_grad_hess(modes, w0, X, y, mask, eta)
+    for _ in range(MAX_NEWTON_ITER):
+        if np.max(np.linalg.norm(grads, axis=1)) <= GRAD_TOL:
+            return modes, hess
+        steps = np.linalg.solve(hess, grads[..., None])[..., 0]
         # Near the minimum the true decrease falls below rounding noise in
         # F, so a strict non-increase test would reject the final Newton
         # step; allow rounding-level slack.
-        slack = 1e-12 * max(1.0, abs(f_val))
-        alpha = 1.0
-        while True:
-            w_new = w - alpha * step
-            f_new, g_new, h_new = _laplace_value_grad_hess(w_new, p.w0, X, y, eta)
-            if f_new <= f_val + slack or alpha <= 1e-12:
+        slack = 1e-12 * np.maximum(1.0, np.abs(f_val))
+        alpha = np.ones(len(modes))
+        for _ in range(MAX_HALVINGS):
+            trial = modes - alpha[:, None] * steps
+            f_new, g_new, h_new = _laplace_value_grad_hess(trial, w0, X, y, mask, eta)
+            bad = f_new > f_val + slack
+            if not np.any(bad):
                 break
-            alpha *= 0.5
-        w, f_val, grad, hess = w_new, f_new, g_new, h_new
-    if np.linalg.norm(grad) <= grad_tol:
-        return LaplacePosterior(p.w0, X, y, w, hess, p.birth_round)
+            alpha = np.where(bad, 0.5 * alpha, alpha)
+        else:
+            raise NewtonConvergenceError(
+                f"no decrease in F for {int(np.sum(bad))} learner(s) after {MAX_HALVINGS} halvings"
+            )
+        modes, f_val, grads, hess = trial, f_new, g_new, h_new
+    norms = np.linalg.norm(grads, axis=1)
+    if np.max(norms) <= GRAD_TOL:
+        return modes, hess
     raise NewtonConvergenceError(
-        f"gradient norm {np.linalg.norm(grad):.3e} after {max_iter} Newton iterations"
+        f"worst gradient norm {np.max(norms):.3e} after {MAX_NEWTON_ITER} Newton iterations"
     )
 
 
-def laplace_mix_factor(p: LaplacePosterior, point: DataPoint, eta: float, n_nodes: int = 64) -> float:
-    """E_P[exp(-eta * logistic loss)] under the Laplace Gaussian.
+def laplace_update(p: LaplacePosterior, point: DataPoint, eta: float) -> LaplacePosterior:
+    """Append an observation and refit the Laplace mode by damped Newton."""
+    if point.y not in (-1.0, 1.0):
+        raise LabelRangeError(f"logistic labels must be +/-1, got {point.y}")
+    X, y = np.vstack([p.X, point.x]), np.append(p.y, point.y)
+    modes, hessians = laplace_refit(p.mode[None, :], p.w0, X, y, [0], eta)
+    return LaplacePosterior(p.w0, X, y, modes[0], hessians[0], p.birth_round)
 
-    Evaluated on the 1-D pushforward of the score w'x by Gauss-Hermite
-    quadrature; always in (0, 1] since the loss is nonnegative.
+
+def log_logistic_mix_factors(mu, v, y: float, eta: float, n_nodes: int = 64) -> np.ndarray:
+    """log E[exp(-eta * logistic(z, y))] for z ~ N(mu_i, v_i), for every i.
+
+    Gauss-Hermite quadrature in log-space; capped at 0 since the loss is
+    nonnegative.
     """
-    x = point.x
-    cov_x = np.linalg.solve(p.hessian, x)
-    pf = Pushforward1D(mu=float(p.mode @ x), v=max(float(x @ cov_x), 0.0))
-    val = gauss_hermite_expect(pf, lambda z: np.exp(-eta * logistic_loss(z, point.y)), n_nodes)
-    return min(float(val), 1.0)
+    nodes, weights = gauss_hermite_nodes(n_nodes)
+    z = mu[:, None] + np.sqrt(2.0 * v)[:, None] * nodes[None, :]
+    log_vals = -eta * np.logaddexp(0.0, -y * z)
+    return np.minimum(logsumexp(log_vals, b=weights[None, :] / np.sqrt(np.pi), axis=1), 0.0)
+
+
+def laplace_mix_factor(p: LaplacePosterior, point: DataPoint, eta: float) -> float:
+    """E_P[exp(-eta * logistic loss)] under the Laplace Gaussian, in (0, 1]."""
+    mu = np.array([p.mode @ point.x])
+    v = np.maximum([point.x @ np.linalg.solve(p.hessian, point.x)], 0.0)
+    return float(np.exp(log_logistic_mix_factors(mu, v, point.y, eta)[0]))

@@ -34,6 +34,21 @@ def test_parse_config_malformed_line():
         bench.parse_config("task squared1d\n")
 
 
+def test_parse_config_bad_value_names_line_and_key():
+    with pytest.raises(bench.ConfigError, match=r"line 2: bad value for 'T': '200.0'"):
+        bench.parse_config("task = squared1d\nT = 200.0\n")
+
+
+def test_parse_config_duplicate_key():
+    with pytest.raises(bench.ConfigError, match=r"line 3: duplicate key 'T'"):
+        bench.parse_config("T = 50\ntask = squared1d\nT = 60\n")
+
+
+def test_config_rejects_empty_algorithms():
+    with pytest.raises(bench.ConfigError, match="algorithms"):
+        bench.parse_config("task = squared1d\nalgorithms =\n")
+
+
 def test_config_validation():
     with pytest.raises(bench.ConfigError):
         bench.ExperimentConfig(task="nope")

@@ -69,13 +69,13 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert "fitted_loglog_slope" in out
 
 
-def test_run_rejects_bad_config(tmp_path):
+def test_run_rejects_bad_config(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("task = squared1d\nunknown_key = 5\n")
-    from mixshare.bench import ConfigError
-
-    with pytest.raises(ConfigError):
-        cli.main(["run", "--config", str(path)])
+    assert cli.main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mixshare: config error: line 2: unknown key 'unknown_key'\n"
 
 
 def test_entry_points_import_without_scipy_special():

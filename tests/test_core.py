@@ -82,7 +82,7 @@ def test_domain_stack_is_row_wise():
     inside = [dom.contains(row) for row in stack]
     assert 0 < sum(inside) < len(inside)
     assert np.array_equal(dom.project(stack), np.stack([dom.project(row) for row in stack]))
-    assert dom.contains(dom.project(stack), tol=1e-12)
+    assert dom.contains(dom.project(stack))
     assert not dom.contains(stack)
     assert dom.contains(stack[inside])
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixshare import ensemble
-from mixshare.core import DataPoint, DomainSpec, LossSpec
+from mixshare.core import DataPoint, DomainSpec, LossSpec, logistic_loss
 from mixshare.gaussian import logsumexp
 from mixshare.posterior import LaplacePosterior, QuadraticPosterior, laplace_update, quad_update
 
@@ -138,6 +138,7 @@ def test_rejected_point_leaves_state_untouched(point):
 
 
 def test_logistic_branch_matches_per_learner_laplace():
+    # one refit over a shared history and a mask vs one refit per learner on its own suffix
     rng = np.random.default_rng(33)
     spec = LossSpec.logistic()
     s = ensemble.init(spec, DomainSpec(2, 1.0), 20)
@@ -149,6 +150,21 @@ def test_logistic_branch_matches_per_learner_laplace():
         refs.append(LaplacePosterior.from_anchor(np.zeros(2), birth_round=t + 2))
     assert np.allclose(s.modes, np.stack([p.mode for p in refs]), atol=1e-7)
     assert np.allclose(s.hessians, np.stack([p.hessian for p in refs]), atol=1e-7)
+
+
+def test_logistic_modes_match_grid_argmin_of_their_suffix_1d():
+    # learner born at round b minimizes w^2/2 + sum of losses from round b on
+    rng = np.random.default_rng(35)
+    s = ensemble.init(LossSpec.logistic(), DomainSpec(1, 1.0), 10)
+    pts = []
+    for _ in range(8):
+        pts.append(DataPoint(np.array([rng.uniform(0.5, 1.5)]), 1.0 if rng.uniform() < 0.7 else -1.0))
+        s = ensemble.observe(s, pts[-1])
+    assert s.births == tuple(range(1, 10))
+    ws = np.linspace(-4, 4, 80_001)
+    for b, mode in zip(s.births, s.modes[:, 0]):
+        F = 0.5 * ws**2 + sum(logistic_loss(ws * pt.x[0], pt.y) for pt in pts[b - 1 :])
+        assert mode == pytest.approx(ws[np.argmin(F)], abs=1e-4)
 
 
 def test_logistic_rejects_bad_label():
@@ -173,9 +189,3 @@ def test_mixture_views_agree():
     pf_arrays = arrays.pushforward(x)
     assert np.allclose(pf_direct.mu, pf_arrays.mu)
     assert np.allclose(pf_direct.v, pf_arrays.v, atol=1e-10)
-
-
-def test_unsupported_loss_family():
-    spec = LossSpec.generic(eta=0.5, G=1.0)
-    with pytest.raises(ValueError):
-        ensemble.init(spec, DomainSpec(1, 1.0), 10)

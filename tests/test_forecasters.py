@@ -112,7 +112,7 @@ def test_logistic_prediction_inverts_mean_probability():
     covs = np.stack([np.diag(rng.uniform(0.1, 0.8, d)) for _ in range(k)])
     mix = GaussianMixture(np.log(w), means, covs)
     x = rng.standard_normal(d)
-    z = predict_logistic(mix, x)
+    z = predict_logistic(mix.pushforward(x))
     p = mean_sigmoid(mix.pushforward(x))
     assert 1.0 / (1.0 + np.exp(-z)) == pytest.approx(p, rel=1e-10)
 

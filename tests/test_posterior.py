@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from mixshare import posterior
 from mixshare.core import DataPoint, LabelRangeError, logistic_loss
 from mixshare.posterior import (
     LaplacePosterior,
+    NewtonConvergenceError,
     QuadraticPosterior,
     laplace_mix_factor,
     laplace_update,
@@ -122,6 +124,22 @@ def test_laplace_mode_matches_grid_argmin_1d():
         F = F + logistic_loss(ws * pt.x[0], pt.y)
     w_star = ws[np.argmin(F)]
     assert lp.mode[0] == pytest.approx(w_star, abs=1e-4)
+
+
+def test_line_search_without_decrease_raises(monkeypatch):
+    real = posterior._laplace_value_grad_hess
+    calls = []
+
+    def rising(*args):
+        values, grads, hess = real(*args)
+        calls.append(None)
+        return values + len(calls), grads, hess  # every trial step raises F
+
+    monkeypatch.setattr(posterior, "_laplace_value_grad_hess", rising)
+    lp = LaplacePosterior.from_anchor(np.zeros(2))
+    with pytest.raises(NewtonConvergenceError):
+        laplace_update(lp, DataPoint(np.array([1.0, -0.5]), 1.0), 1.0)
+    assert len(calls) == 1 + posterior.MAX_HALVINGS
 
 
 def test_laplace_mix_factor_against_exact_grid():
