@@ -54,11 +54,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; choose from {TASKS}")
+        for key in ("d", "T", "B", "L", "R", "jump_norm"):
+            val = getattr(self, key)
+            if val is not None and not 0 < val < np.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {val}")
+        if not 0 <= self.noise_sd < np.inf:
+            raise ConfigError(f"noise_sd must be nonnegative and finite, got {self.noise_sd}")
+        if self.jump_norm is not None and self.jump_norm > 2.0 * self.R:
+            raise ConfigError(f"jump norm {self.jump_norm} exceeds the domain diameter {2 * self.R}")
         if self.task == "squared1d" and self.d != 1:
             raise ConfigError("squared1d requires d = 1")
         kind, arg = _parse_drift(self.drift)
-        if kind == "piecewise" and arg >= self.T:
-            raise ConfigError(f"switch count {arg} must be < T = {self.T}")
+        if kind == "piecewise" and not 0 <= arg < self.T:
+            raise ConfigError(f"switch count {arg} must lie in [0, T = {self.T})")
         if self.task in ("squared1d", "least_squares") and self.noise_sd == 0.0 and self.R * self.L > self.B:
             raise ConfigError(
                 f"R * L = {self.R * self.L} > B = {self.B}: noiseless labels may exceed the label bound"
@@ -67,6 +75,8 @@ class ExperimentConfig:
             object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not self.algorithms:
             raise ConfigError("algorithms must name at least one algorithm")
+        for algorithm in self.algorithms:
+            _parse_algorithm(algorithm, self.task)
 
     def loss_spec(self) -> LossSpec:
         if self.task == "squared1d":
@@ -125,8 +135,39 @@ def _parse_drift(drift: str):
         return "stationary", None
     for prefix, conv in (("piecewise", int), ("rotating", float)):
         if drift.startswith(prefix + ":"):
-            return prefix, conv(drift.split(":", 1)[1])
+            try:
+                arg = conv(drift.split(":", 1)[1])
+            except ValueError:
+                arg = np.nan
+            if not np.isfinite(arg):
+                raise ConfigError(f"bad argument in drift {drift!r}")
+            return prefix, arg
     raise ConfigError(f"unknown drift {drift!r}")
+
+
+# OGD algorithm name -> (step schedule, step parameter when the name gives none)
+_OGD = {
+    "ogd_constant": (baselines.StepSchedule.CONSTANT, 0.1),
+    "ogd_inverse_t": (baselines.StepSchedule.INVERSE_T, 1.0),
+}
+
+
+def _parse_algorithm(algorithm: str, task: str):
+    """(name, OGD step or None) of one algorithm name; 'oco' runs on oco_quadratic only."""
+    name, sep, arg = algorithm.partition(":")
+    if name in _OGD:
+        try:
+            step = float(arg) if sep else _OGD[name][1]
+        except ValueError:
+            step = np.nan
+        if not 0 < step < np.inf:
+            raise ConfigError(f"bad step parameter in algorithm {algorithm!r}")
+        return name, step
+    if sep or name not in ("fixed_share", "static_ew", "oco"):
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    if (name == "oco") != (task == "oco_quadratic"):
+        raise ConfigError(f"algorithm {name!r} does not run on the {task} task")
+    return name, None
 
 
 @dataclass(frozen=True)
@@ -164,8 +205,6 @@ def _comparator_path(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
         return [u.copy() for _ in range(T)]
 
     delta = cfg.jump_norm if cfg.jump_norm is not None else 0.5 * R
-    if delta > 2.0 * R:
-        raise ConfigError(f"jump norm {delta} exceeds the domain diameter {2 * R}")
     switches = set((rng.choice(np.arange(1, T), size=arg, replace=False)).tolist())
     us = []
     for t in range(T):
@@ -303,23 +342,12 @@ def _run_oco(cfg: ExperimentConfig, bundle: StreamBundle):
 
 
 def _dispatch(cfg: ExperimentConfig, bundle: StreamBundle, algorithm: str):
-    if algorithm == "fixed_share":
-        if cfg.task == "oco_quadratic":
-            raise ConfigError("fixed_share applies to prediction tasks; use 'oco' here")
-        return _run_ensemble(cfg, bundle, mu=None)
-    if algorithm == "static_ew":
-        return _run_ensemble(cfg, bundle, mu=0.0)
-    if algorithm.startswith("ogd_constant"):
-        param = float(algorithm.split(":", 1)[1]) if ":" in algorithm else 0.1
-        return _run_ogd(cfg, bundle, baselines.StepSchedule.CONSTANT, param)
-    if algorithm.startswith("ogd_inverse_t"):
-        param = float(algorithm.split(":", 1)[1]) if ":" in algorithm else 1.0
-        return _run_ogd(cfg, bundle, baselines.StepSchedule.INVERSE_T, param)
-    if algorithm == "oco":
-        if cfg.task != "oco_quadratic":
-            raise ConfigError("the 'oco' learner runs on the oco_quadratic task")
+    name, step = _parse_algorithm(algorithm, cfg.task)
+    if name == "oco":
         return _run_oco(cfg, bundle)
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
+    if name in _OGD:
+        return _run_ogd(cfg, bundle, _OGD[name][0], step)
+    return _run_ensemble(cfg, bundle, mu=None if name == "fixed_share" else 0.0)
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,10 @@ class GaussianMixture:
         return np.exp(self.log_w)
 
     def pushforward(self, x: np.ndarray) -> ScalarGaussianMixture:
+        """1-D mixture of w'x; its log-weights are a copy of this mixture's."""
         x = np.asarray(x, dtype=float)
-        mu = self.means @ x
-        v = np.einsum("i,kij,j->k", x, self.covs, x)
-        return ScalarGaussianMixture(self.log_w, mu, np.maximum(v, 0.0))
+        v = (self.covs @ x) @ x
+        return ScalarGaussianMixture(self.log_w.copy(), self.means @ x, np.maximum(v, 0.0))
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.means

@@ -4,6 +4,10 @@ Each round predicts the mixture mean, builds the quadratic surrogate from
 the observed gradient, tilts every Gaussian component in closed form,
 repairs the mixture back into the constraint family (means inside the
 domain, covariance eigenvalues in [1/T, 1]), and mixes in the anchor.
+The state is an ``ensemble.FixedShareMixture``, the same buffered mixture
+the ensemble uses: ``oco_round`` tilts and repairs its live components in
+place and closes the round with the shared fixed-share step, so no
+component is copied and no array is concatenated.
 
 The repair step approximates the exact KL projection onto the mixture
 family, which the source analysis only proves to exist; the approximation
@@ -13,11 +17,12 @@ not the formal regret guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DomainSpec
+from .ensemble import FixedShareMixture, HorizonExceededError
 from .forecasters import GaussianMixture
 from .gaussian import LOG_2PI, logsumexp, tilt_rank_one
 
@@ -72,53 +77,42 @@ class MixtureInM:
             )
 
 
-@dataclass(frozen=True)
-class OcoState:
-    mixture: MixtureInM
-    round: int
-    mu: float
-    gamma: float
-    G: float
-    domain: DomainSpec
-    w0: np.ndarray
+class OcoState(FixedShareMixture):
+    """The OCO mixture, mu = 1/T, advanced in place for ``horizon`` rounds by ``oco_round``."""
+
+    def __init__(self, domain: DomainSpec, horizon: int, gamma: float, G: float):
+        super().__init__(domain.center.copy(), horizon)
+        self.domain = domain
+        self.gamma = gamma
+        self.G = G
+
+    @property
+    def mixture(self) -> MixtureInM:
+        """The live mixture as views, valid until the next round."""
+        return MixtureInM(self.view(), self.horizon)
 
 
 def init_oco(domain: DomainSpec, horizon: int, eta: float, G: float) -> OcoState:
     """Anchor mixture N(w0, I_d); gamma = min{1/(8GD), eta/2} satisfies every
     stated condition on the surrogate coefficient simultaneously."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    D = domain.diameter
-    gamma = min(1.0 / (8.0 * G * D), eta / 2.0)
-    w0 = domain.center.copy()
-    anchor = GaussianMixture(
-        log_w=np.zeros(1),
-        means=w0[None, :],
-        covs=np.eye(domain.d)[None, :, :],
-    )
-    mix = MixtureInM(anchor, horizon)
-    mix.validate(domain)
-    return OcoState(mixture=mix, round=1, mu=1.0 / horizon, gamma=gamma, G=G, domain=domain, w0=w0)
+    gamma = min(1.0 / (8.0 * G * domain.diameter), eta / 2.0)
+    return OcoState(domain, horizon, gamma, G)
 
 
 def predict_mean(s: OcoState) -> np.ndarray:
     """Mixture mean; a convex combination of in-domain component means."""
-    return s.mixture.mixture.mean()
+    return s.view().mean()
 
 
-def ew_update_surrogate(m: MixtureInM, f: SurrogateLoss) -> GaussianMixture:
-    """Exact Gaussian tilt by exp(-gamma * f / 2).
+def ew_update_surrogate(mix: GaussianMixture, f: SurrogateLoss) -> np.ndarray:
+    """Exact Gaussian tilt of every component by exp(-gamma * f / 2), in place.
 
     With s = g'w - g'w_ref the tilt is exp(-a s^2 - b s) for a = gamma^2/4
-    and b = gamma/2: ``gaussian.tilt_rank_one`` applied along g to copies
-    of the components, whose log-weights gain the returned log factors.
+    and b = gamma/2: ``gaussian.tilt_rank_one`` along g.  Returns the
+    per-component log factors; the caller owns the weights.
     """
-    mix = m.mixture
-    means, covs = mix.means.copy(), mix.covs.copy()
-    log_w = mix.log_w + tilt_rank_one(
-        means, covs, f.g, f.gamma * f.gamma / 4.0, f.gamma / 2.0, float(f.g @ f.w_ref)
-    )
-    return GaussianMixture(log_w - logsumexp(log_w), means, covs)
+    a, b = f.gamma * f.gamma / 4.0, f.gamma / 2.0
+    return tilt_rank_one(mix.means, mix.covs, f.g, a, b, float(f.g @ f.w_ref))
 
 
 def approx_project_to_M(mix: GaussianMixture, domain: DomainSpec, T: int) -> MixtureInM:
@@ -128,42 +122,27 @@ def approx_project_to_M(mix: GaussianMixture, domain: DomainSpec, T: int) -> Mix
     eigvals, eigvecs = np.linalg.eigh(mix.covs)
     eigvals = np.clip(eigvals, 1.0 / T, 1.0)
     covs = np.einsum("kij,kj,klj->kil", eigvecs, eigvals, eigvecs)
-    out = MixtureInM(GaussianMixture(mix.log_w.copy(), means, 0.5 * (covs + np.swapaxes(covs, 1, 2))), T)
-    out.validate(domain)
-    return out
-
-
-def fixed_share_anchor(m: MixtureInM, mu: float, anchor_mean: np.ndarray) -> MixtureInM:
-    """(1 - mu) * mixture + mu * N(anchor, I_d); mu = 0 and 1 degenerate."""
-    mix = m.mixture
-    d = mix.means.shape[1]
-    if mu == 0.0:
-        return m
-    if mu == 1.0:
-        return MixtureInM(
-            GaussianMixture(np.zeros(1), np.asarray(anchor_mean)[None, :], np.eye(d)[None, :, :]),
-            m.horizon,
-        )
-    log_w = np.append(mix.log_w + np.log1p(-mu), np.log(mu))
-    log_w = log_w - logsumexp(log_w)
-    means = np.concatenate([mix.means, np.asarray(anchor_mean, dtype=float)[None, :]])
-    covs = np.concatenate([mix.covs, np.eye(d)[None, :, :]])
-    return MixtureInM(GaussianMixture(log_w, means, covs), m.horizon)
+    return MixtureInM(GaussianMixture(mix.log_w, means, 0.5 * (covs + np.swapaxes(covs, 1, 2))), T)
 
 
 def oco_round(s: OcoState, grad_oracle) -> tuple:
-    """One full round: predict mean, tilt, repair, fixed-share anchor."""
+    """One full round in place: predict the mean, tilt, repair, fixed share;
+    returns (w_t, s).  Past the horizon it raises before calling the oracle."""
+    if s.round > s.horizon:
+        raise HorizonExceededError(f"round {s.round} exceeds horizon {s.horizon}")
     w_t = predict_mean(s)
     if not s.domain.contains(w_t, tol=1e-9):
         raise ConstraintViolationError("mixture mean escaped the domain")
     g = np.asarray(grad_oracle(w_t), dtype=float)
     if float(np.linalg.norm(g)) > s.G * (1.0 + 1e-9):
         raise ValueError(f"gradient norm {np.linalg.norm(g)} exceeds declared bound G = {s.G}")
-    f = make_surrogate(g, w_t, s.gamma)
-    tilted = ew_update_surrogate(s.mixture, f)
-    projected = approx_project_to_M(tilted, s.domain, s.mixture.horizon)
-    mixed = fixed_share_anchor(projected, s.mu, s.w0)
-    return w_t, replace(s, mixture=mixed, round=s.round + 1)
+    live = s.view()
+    log_factors = ew_update_surrogate(live, make_surrogate(g, w_t, s.gamma))
+    repaired = approx_project_to_M(live, s.domain, s.horizon).mixture
+    live.means[:], live.covs[:] = repaired.means, repaired.covs
+    s.fixed_share(log_factors)
+    s.mixture.validate(s.domain)
+    return w_t, s
 
 
 def log_density(mix: GaussianMixture, points: np.ndarray) -> np.ndarray:

@@ -1,14 +1,15 @@
-"""Per-base-learner posterior state and its exponential-weight update.
+"""Base-learner posteriors and their exponential-weight updates.
 
 Quadratic losses admit an exact Gaussian recursion in natural parameters
-(precision, shift); the logistic loss uses a Laplace approximation refit
-by warm-started damped Newton after each observation.  ``laplace_refit``
-is the package's only Newton refit: it refits a batch of learners, each
-over its own suffix of one shared history, so the ensemble refits all of
-its learners in one call and ``laplace_update`` is the one-learner call.
-``log_logistic_mix_factors`` is likewise the one logistic quadrature of
-the per-round mix factor E_P[exp(-eta * loss)] consumed by the
-meta-learner.
+(precision, shift); ``QuadraticPosterior`` keeps it for one learner as the
+independent reference of the ensemble's covariance-form tilts.  The
+logistic loss uses a Laplace approximation refit by warm-started damped
+Newton after each observation.  ``laplace_refit`` is the package's only
+Newton refit: it refits a batch of learners, each over its own suffix of
+one shared history, so the ensemble refits all of its learners in one
+call.  ``log_logistic_mix_factors`` is likewise the one logistic
+quadrature of the per-round mix factor E_P[exp(-eta * loss)] consumed by
+the meta-learner.
 """
 
 from __future__ import annotations
@@ -109,44 +110,6 @@ def quad_variance_recursion_check(steps: int, sigma1_sq: float = 1.0) -> float:
     return s
 
 
-@dataclass(frozen=True)
-class LaplacePosterior:
-    """Laplace-approximate posterior for the logistic loss.
-
-    The exact density is proportional to exp(-F(w)) with
-    F(w) = ||w - w0||^2 / 2 + eta * sum of logistic losses seen since
-    birth.  ``mode`` minimizes F and ``hessian`` is F's Hessian there.
-    """
-
-    w0: np.ndarray
-    X: np.ndarray  # (n, d) features observed since birth
-    y: np.ndarray  # (n,) labels in {-1, +1}
-    mode: np.ndarray
-    hessian: np.ndarray
-    birth_round: int = 1
-
-    @staticmethod
-    def from_anchor(w0: np.ndarray, birth_round: int = 1) -> "LaplacePosterior":
-        w0 = np.atleast_1d(np.asarray(w0, dtype=float))
-        d = w0.size
-        return LaplacePosterior(
-            w0=w0.copy(),
-            X=np.zeros((0, d)),
-            y=np.zeros(0),
-            mode=w0.copy(),
-            hessian=np.eye(d),
-            birth_round=birth_round,
-        )
-
-    @property
-    def d(self) -> int:
-        return self.w0.size
-
-    def as_gaussian(self) -> GaussianDist:
-        cov = np.linalg.inv(self.hessian)
-        return GaussianDist(self.mode, 0.5 * (cov + cov.T))
-
-
 GRAD_TOL = 1e-8
 MAX_NEWTON_ITER = 50
 MAX_HALVINGS = 40
@@ -212,15 +175,6 @@ def laplace_refit(modes, w0, X, y, starts, eta):
     )
 
 
-def laplace_update(p: LaplacePosterior, point: DataPoint, eta: float) -> LaplacePosterior:
-    """Append an observation and refit the Laplace mode by damped Newton."""
-    if point.y not in (-1.0, 1.0):
-        raise LabelRangeError(f"logistic labels must be +/-1, got {point.y}")
-    X, y = np.vstack([p.X, point.x]), np.append(p.y, point.y)
-    modes, hessians = laplace_refit(p.mode[None, :], p.w0, X, y, [0], eta)
-    return LaplacePosterior(p.w0, X, y, modes[0], hessians[0], p.birth_round)
-
-
 def log_logistic_mix_factors(mu, v, y: float, eta: float, n_nodes: int = 64) -> np.ndarray:
     """log E[exp(-eta * logistic(z, y))] for z ~ N(mu_i, v_i), for every i.
 
@@ -231,10 +185,3 @@ def log_logistic_mix_factors(mu, v, y: float, eta: float, n_nodes: int = 64) -> 
     z = mu[:, None] + np.sqrt(2.0 * v)[:, None] * nodes[None, :]
     log_vals = -eta * np.logaddexp(0.0, -y * z)
     return np.minimum(logsumexp(log_vals, b=weights[None, :] / np.sqrt(np.pi), axis=1), 0.0)
-
-
-def laplace_mix_factor(p: LaplacePosterior, point: DataPoint, eta: float) -> float:
-    """E_P[exp(-eta * logistic loss)] under the Laplace Gaussian, in (0, 1]."""
-    mu = np.array([p.mode @ point.x])
-    v = np.maximum([point.x @ np.linalg.solve(p.hessian, point.x)], 0.0)
-    return float(np.exp(log_logistic_mix_factors(mu, v, point.y, eta)[0]))

@@ -61,6 +61,37 @@ def test_config_validation():
         bench.ExperimentConfig(task="least_squares", d=2, R=2.0, L=1.0, B=1.0, noise_sd=0.0)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "drift = piecewise:x",
+        "drift = piecewise:-1",
+        "drift = rotating:fast",
+        "drift = rotating:nan",
+        "d = 0",
+        "T = 0",
+        "B = 0",
+        "B = inf",
+        "L = -1",
+        "R = -1",
+        "jump_norm = 0",
+        "jump_norm = 3",
+        "noise_sd = -1",
+        "noise_sd = nan",
+        "algorithms = nope",
+        "algorithms = fixed_share:2",
+        "algorithms = ogd_constant:fast",
+        "algorithms = ogd_constant:nan",
+        "algorithms = ogd_inverse_t:-1",
+        "algorithms = oco",
+    ],
+)
+def test_config_rejects_invalid_values(line):
+    # each line alone makes an otherwise default least_squares config invalid
+    with pytest.raises(bench.ConfigError):
+        bench.parse_config(f"task = least_squares\n{line}\n")
+
+
 def test_stationary_stream_has_zero_path_length():
     cfg = bench.ExperimentConfig(task="squared1d", T=30, seed=0)
     bundle = bench.generate_stream(cfg)
@@ -129,12 +160,10 @@ def test_run_experiment_oco_task():
 
 
 def test_algorithm_task_mismatch():
-    cfg = bench.ExperimentConfig(task="oco_quadratic", d=2, T=10, algorithms=("fixed_share",))
-    with pytest.raises(RuntimeError):
-        bench.run_experiment(cfg)
-    cfg = bench.ExperimentConfig(task="squared1d", T=10, algorithms=("oco",))
-    with pytest.raises(RuntimeError):
-        bench.run_experiment(cfg)
+    with pytest.raises(bench.ConfigError):
+        bench.ExperimentConfig(task="oco_quadratic", d=2, T=10, algorithms=("fixed_share",))
+    with pytest.raises(bench.ConfigError):
+        bench.ExperimentConfig(task="squared1d", T=10, algorithms=("oco",))
 
 
 def test_csv_schema_and_determinism(tmp_path):

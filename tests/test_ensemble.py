@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mixshare import ensemble
 from mixshare.core import DataPoint, DomainSpec, LossSpec, logistic_loss
 from mixshare.gaussian import logsumexp
-from mixshare.posterior import LaplacePosterior, QuadraticPosterior, laplace_update, quad_update
+from mixshare.posterior import QuadraticPosterior, laplace_refit, quad_update
 
 
 def _squared_state(T=50, mu=None, d=1, B=1.0):
@@ -141,15 +141,21 @@ def test_logistic_branch_matches_per_learner_laplace():
     # one refit over a shared history and a mask vs one refit per learner on its own suffix
     rng = np.random.default_rng(33)
     spec = LossSpec.logistic()
+    w0 = np.zeros(2)
     s = ensemble.init(spec, DomainSpec(2, 1.0), 20)
-    refs = [LaplacePosterior.from_anchor(np.zeros(2))]
+    X, y = np.zeros((0, 2)), np.zeros(0)
+    modes, hessians = [w0], [np.eye(2)]
     for t in range(12):
         pt = DataPoint(rng.standard_normal(2), 1.0 if rng.uniform() < 0.5 else -1.0)
         s = ensemble.observe(s, pt)
-        refs = [laplace_update(p, pt, spec.eta) for p in refs]
-        refs.append(LaplacePosterior.from_anchor(np.zeros(2), birth_round=t + 2))
-    assert np.allclose(s.modes, np.stack([p.mode for p in refs]), atol=1e-7)
-    assert np.allclose(s.hessians, np.stack([p.hessian for p in refs]), atol=1e-7)
+        X, y = np.vstack([X, pt.x]), np.append(y, pt.y)
+        for j in range(len(modes)):  # learner j was born at round j + 1
+            m, h = laplace_refit(modes[j][None, :], w0, X[j:], y[j:], [0], spec.eta)
+            modes[j], hessians[j] = m[0], h[0]
+        modes.append(w0)
+        hessians.append(np.eye(2))
+    assert np.allclose(s.means(), np.stack(modes), atol=1e-7)
+    assert np.allclose(s.covs(), np.linalg.inv(np.stack(hessians)), atol=1e-7)
 
 
 def test_logistic_modes_match_grid_argmin_of_their_suffix_1d():
@@ -162,7 +168,7 @@ def test_logistic_modes_match_grid_argmin_of_their_suffix_1d():
         s = ensemble.observe(s, pts[-1])
     assert s.births == tuple(range(1, 10))
     ws = np.linspace(-4, 4, 80_001)
-    for b, mode in zip(s.births, s.modes[:, 0]):
+    for b, mode in zip(s.births, s.means()[:, 0]):
         F = 0.5 * ws**2 + sum(logistic_loss(ws * pt.x[0], pt.y) for pt in pts[b - 1 :])
         assert mode == pytest.approx(ws[np.argmin(F)], abs=1e-4)
 
@@ -176,16 +182,22 @@ def test_logistic_rejects_bad_label():
 
 def test_mixture_views_agree():
     rng = np.random.default_rng(34)
-    s, _ = _squared_state(T=15, d=2, B=1.0)
-    for _ in range(8):
-        pt = DataPoint(rng.standard_normal(2), float(np.clip(rng.standard_normal(), -1, 1)))
-        s = ensemble.observe(s, pt)
-    pairs = ensemble.mixture(s)
-    arrays = ensemble.mixture_arrays(s)
-    assert len(pairs) == s.n_learners
-    assert np.allclose([w for w, _ in pairs], arrays.weights)
-    x = rng.standard_normal(2)
-    pf_direct = ensemble.pushforward_mixture(s, x)
-    pf_arrays = arrays.pushforward(x)
-    assert np.allclose(pf_direct.mu, pf_arrays.mu)
-    assert np.allclose(pf_direct.v, pf_arrays.v, atol=1e-10)
+    for spec in (LossSpec.least_squares(1.0), LossSpec.logistic()):
+        s = ensemble.init(spec, DomainSpec(2, 1.0), 15)
+        for _ in range(8):
+            y = float(np.clip(rng.standard_normal(), -1, 1))
+            s = ensemble.observe(s, DataPoint(rng.standard_normal(2), y if s.quadratic else np.sign(y)))
+        mix = ensemble.mixture(s)
+        assert mix.means.shape == (s.n_learners, 2)
+        assert np.array_equal(mix.weights, s.weights)
+        assert np.array_equal(mix.means, s.means())
+        assert np.array_equal(mix.covs, s.covs())
+        assert np.all(np.linalg.eigvalsh(0.5 * (mix.covs + np.swapaxes(mix.covs, 1, 2))) > 0.0)
+        x = rng.standard_normal(2)
+        pf = ensemble.pushforward_mixture(s, x)
+        assert np.array_equal(pf.log_w, s.log_weights)
+        assert np.allclose(pf.mu, [m @ x for m in mix.means], rtol=1e-12, atol=1e-14)
+        assert np.allclose(pf.v, [x @ c @ x for c in mix.covs], rtol=1e-12, atol=1e-14)
+        # the copies outlive the round
+        pf.log_w[0] = mix.log_w[0] = 1.0
+        assert s.log_weights[0] != 1.0

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mixshare import oco
+from mixshare import ensemble, oco
 from mixshare.core import DomainSpec
 from mixshare.forecasters import GaussianMixture
-from mixshare.gaussian import LOG_2PI
+from mixshare.gaussian import LOG_2PI, logsumexp, tilt_rank_one
 
 
 def _single_component(mean, cov):
@@ -38,21 +38,22 @@ def test_init_gamma_is_strictest_condition():
 def test_tilt_isotropic_component_precision_gain():
     # single N(0, I), g = e1: only the (1,1) precision entry changes, by gamma^2/2
     gamma = 0.2
-    mix = oco.MixtureInM(_single_component(np.zeros(2), np.eye(2)), horizon=10)
+    mix = _single_component(np.zeros(2), np.eye(2))
     f = oco.make_surrogate(np.array([1.0, 0.0]), np.zeros(2), gamma)
-    out = oco.ew_update_surrogate(mix, f)
-    prec = np.linalg.inv(out.covs[0])
+    oco.ew_update_surrogate(mix, f)
+    prec = np.linalg.inv(mix.covs[0])
     want = np.eye(2)
     want[0, 0] += gamma * gamma / 2.0
     assert np.allclose(prec, want, atol=1e-12)
 
 
 def test_tilt_zero_gradient_is_identity():
-    mix = oco.MixtureInM(_single_component(np.array([0.1, -0.2]), 0.5 * np.eye(2)), horizon=10)
+    mix = _single_component(np.array([0.1, -0.2]), 0.5 * np.eye(2))
     f = oco.make_surrogate(np.zeros(2), np.zeros(2), gamma=0.3)
-    out = oco.ew_update_surrogate(mix, f)
-    assert np.allclose(out.means, mix.mixture.means)
-    assert np.allclose(out.covs, mix.mixture.covs)
+    log_factors = oco.ew_update_surrogate(mix, f)
+    assert np.allclose(mix.means, [[0.1, -0.2]])
+    assert np.allclose(mix.covs, 0.5 * np.eye(2))
+    assert np.allclose(log_factors, 0.0)
 
 
 def test_tilt_matches_normalized_product_density():
@@ -63,35 +64,47 @@ def test_tilt_matches_normalized_product_density():
     cov = np.array([[0.8, 0.2], [0.2, 0.5]])
     g = np.array([0.7, -1.1])
     w_ref = np.array([0.05, 0.1])
-    mix = oco.MixtureInM(_single_component(mean, cov), horizon=10)
+    mix = _single_component(mean, cov)
     f = oco.make_surrogate(g, w_ref, gamma)
-    out = oco.ew_update_surrogate(mix, f)
 
     n = 601
     grid = np.linspace(-5, 5, n)
     W1, W2 = np.meshgrid(grid, grid, indexing="ij")
     pts = np.stack([W1.ravel(), W2.ravel()], axis=1)
-    prior = np.exp(oco.log_density(mix.mixture, pts))
+    prior = np.exp(oco.log_density(mix, pts))
+    oco.ew_update_surrogate(mix, f)
     tilt = np.exp(-0.5 * gamma * f(pts))
     dens = prior * tilt
     dz = grid[1] - grid[0]
     dens /= dens.sum() * dz * dz
 
     idx = rng.choice(n * n, size=100, replace=False)
-    closed = np.exp(oco.log_density(out, pts[idx]))
+    closed = np.exp(oco.log_density(mix, pts[idx]))
     mask = dens[idx] > 1e-12  # skip far-tail points where the grid underflows
     assert np.all(np.abs(closed[mask] / dens[idx][mask] - 1.0) < 1e-3)
 
 
 def test_tilt_weights_stay_normalized():
+    # the log factors are log E_i[exp(-gamma f~ / 2)], checked by quadrature
+    # on each component's pushforward along g, so the tilted weights
+    # w_i Z_i / sum_j w_j Z_j are the exact posterior weights and sum to 1
     rng = np.random.default_rng(41)
     k, d = 4, 3
     w = rng.dirichlet(np.ones(k))
     covs = np.stack([np.diag(rng.uniform(0.2, 1.0, d)) for _ in range(k)])
-    mix = oco.MixtureInM(GaussianMixture(np.log(w), 0.1 * rng.standard_normal((k, d)), covs), horizon=10)
-    f = oco.make_surrogate(rng.standard_normal(d), np.zeros(d), gamma=0.1)
-    out = oco.ew_update_surrogate(mix, f)
-    assert np.sum(out.weights) == pytest.approx(1.0, abs=1e-12)
+    mix = GaussianMixture(np.log(w), 0.1 * rng.standard_normal((k, d)), covs)
+    g, w_ref, gamma = rng.standard_normal(d), 0.1 * rng.standard_normal(d), 0.1
+    f = oco.make_surrogate(g, w_ref, gamma)
+    pf = mix.pushforward(g)
+    log_factors = oco.ew_update_surrogate(mix, f)
+    t = np.linspace(-12.0, 12.0, 48_001)
+    for i in range(k):
+        s = pf.mu[i] - g @ w_ref + np.sqrt(pf.v[i]) * t
+        dens = np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
+        want = np.sum(dens * np.exp(-0.5 * gamma * (s + 0.5 * gamma * s * s))) * (t[1] - t[0])
+        assert log_factors[i] == pytest.approx(np.log(want), rel=1e-9, abs=1e-10)
+    tilted = np.exp(mix.log_w + log_factors - logsumexp(mix.log_w + log_factors))
+    assert np.sum(tilted) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_projection_clamps_eigenvalues_and_means():
@@ -118,19 +131,16 @@ def test_projection_is_identity_inside_constraints():
 
 
 def test_fixed_share_anchor_weights():
-    mix = oco.MixtureInM(_single_component(np.array([0.3, 0.0]), 0.5 * np.eye(2)), horizon=10)
-    out = oco.fixed_share_anchor(mix, 0.1, np.zeros(2))
-    assert out.mixture.weights == pytest.approx([0.9, 0.1])
-    assert np.allclose(out.mixture.means[-1], 0.0)
-    assert np.allclose(out.mixture.covs[-1], np.eye(2))
-
-
-def test_fixed_share_anchor_degenerate_mu():
-    mix = oco.MixtureInM(_single_component(np.array([0.3, 0.0]), 0.5 * np.eye(2)), horizon=10)
-    assert oco.fixed_share_anchor(mix, 0.0, np.zeros(2)) is mix
-    full = oco.fixed_share_anchor(mix, 1.0, np.zeros(2))
-    assert full.mixture.means.shape == (1, 2)
-    assert np.allclose(full.mixture.means[0], 0.0)
+    # survivors share 1 - mu; the newborn carries mu and is N(w0, I)
+    dom = DomainSpec(2, 1.0, center=np.array([0.3, 0.0]))
+    s = oco.init_oco(dom, 10, eta=0.25, G=2.0)
+    for g in ([0.5, -0.5], [-0.2, 0.9]):
+        _, s = oco.oco_round(s, lambda w: np.array(g))
+        assert s.weights[-1] == pytest.approx(s.mu, rel=1e-12)
+        assert np.sum(s.weights[:-1]) == pytest.approx(1.0 - s.mu, rel=1e-12)
+        assert np.array_equal(s.means()[-1], dom.center)
+        assert np.array_equal(s.covs()[-1], np.eye(2))
+    assert s.births == (1, 2, 3)
 
 
 def test_validate_rejects_violations():
@@ -175,6 +185,72 @@ def test_oco_round_preserves_membership():
         assert dom.contains(w_t, tol=1e-9)
         s.mixture.validate(dom)
     assert s.mixture.mixture.means.shape[0] == T + 1
+
+
+def _oco_run(T, rounds, seed, d=3, R=1.0):
+    rng = np.random.default_rng(seed)
+    dom = DomainSpec(d, R)
+    s = oco.init_oco(dom, T, eta=1.0 / dom.diameter**2, G=2.0 * dom.R)
+    preds = []
+    for _ in range(rounds):
+        c = dom.project(rng.standard_normal(d))
+        w_t, s = oco.oco_round(s, lambda w: w - c)
+        preds.append(w_t)
+    return s, np.array(preds)
+
+
+@pytest.mark.parametrize("R", [1.0, 0.01], ids=["repair_idle", "repair_active"])
+def test_oco_round_matches_copy_and_concatenate_recursion(R):
+    # the recursion with fresh arrays every round: tilt copies, normalize,
+    # repair, then append the anchor and renormalize; at R = 0.01 the
+    # surrogate coefficient is large, so the repair moves means and clamps
+    # covariance eigenvalues in most rounds
+    T, d = 30, 3
+    s, preds = _oco_run(T, T, seed=47, R=R)
+    rng = np.random.default_rng(47)
+    dom = DomainSpec(d, R)
+    gamma, mu = s.gamma, 1.0 / T
+    log_w, means, covs = np.zeros(1), np.zeros((1, d)), np.eye(d)[None]
+    for t in range(T):
+        c = dom.project(rng.standard_normal(d))
+        w_t = np.exp(log_w) @ means
+        assert np.allclose(preds[t], w_t, rtol=0.0, atol=1e-12)
+        g = w_t - c
+        means, covs = means.copy(), covs.copy()
+        log_w = log_w + tilt_rank_one(means, covs, g, gamma * gamma / 4.0, gamma / 2.0, float(g @ w_t))
+        log_w = log_w - logsumexp(log_w)
+        means = dom.project(means)
+        eigvals, eigvecs = np.linalg.eigh(covs)
+        covs = np.einsum("kij,kj,klj->kil", eigvecs, np.clip(eigvals, 1.0 / T, 1.0), eigvecs)
+        covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+        log_w = np.append(log_w + np.log1p(-mu), np.log(mu))
+        log_w = log_w - logsumexp(log_w)
+        means = np.concatenate([means, dom.center[None, :]])
+        covs = np.concatenate([covs, np.eye(d)[None]])
+    assert np.allclose(s.log_weights, log_w, rtol=1e-12, atol=0.0)
+    assert np.allclose(s.means(), means, rtol=0.0, atol=1e-12)
+    assert np.allclose(s.covs(), covs, rtol=0.0, atol=1e-12)
+
+
+def test_oco_horizon_guard():
+    with pytest.raises(ValueError):
+        oco.init_oco(DomainSpec(3, 1.0), 0, eta=0.25, G=2.0)
+    s, _ = _oco_run(5, 5, seed=48)
+    assert s.n_learners == 6
+    with pytest.raises(ensemble.HorizonExceededError):
+        oco.oco_round(s, lambda w: pytest.fail("oracle called past the horizon"))
+    assert s.n_learners == 6
+
+
+def test_oco_buffer_growth_keeps_every_number(monkeypatch):
+    preallocated, preds_a = _oco_run(20, 20, seed=49)
+    monkeypatch.setattr(ensemble, "_INITIAL_CAPACITY", 1)
+    doubling, preds_b = _oco_run(20, 20, seed=49)
+    assert np.array_equal(preds_a, preds_b)
+    assert doubling.births == preallocated.births == tuple(range(1, 22))
+    assert np.array_equal(doubling.log_weights, preallocated.log_weights)
+    assert np.array_equal(doubling.means(), preallocated.means())
+    assert np.array_equal(doubling.covs(), preallocated.covs())
 
 
 def test_oco_round_rejects_oversized_gradient():

@@ -4,11 +4,10 @@ import pytest
 from mixshare import posterior
 from mixshare.core import DataPoint, LabelRangeError, logistic_loss
 from mixshare.posterior import (
-    LaplacePosterior,
     NewtonConvergenceError,
     QuadraticPosterior,
-    laplace_mix_factor,
-    laplace_update,
+    laplace_refit,
+    log_logistic_mix_factors,
     log_quad_mix_factor,
     quad_mix_factor,
     quad_update,
@@ -80,50 +79,58 @@ def test_variance_recursion_zero_absorbing():
     assert quad_variance_recursion_check(steps=5, sigma1_sq=0.0) == 0.0
 
 
+def _refit_one(mode, X, y, eta=1.0):
+    """One learner's Laplace refit over the whole history (X, y)."""
+    modes, hessians = laplace_refit(mode[None, :], np.zeros(mode.size), X, y, [0], eta)
+    return modes[0], hessians[0]
+
+
+def _logistic_factor(mode, hessian, pt, eta=1.0):
+    """E[exp(-eta * logistic loss)] under N(mode, inv(hessian)) pushed along x."""
+    mu = np.array([mode @ pt.x])
+    v = np.array([pt.x @ np.linalg.solve(hessian, pt.x)])
+    return float(np.exp(log_logistic_mix_factors(mu, v, pt.y, eta)[0]))
+
+
 def test_laplace_anchor_state():
-    lp = LaplacePosterior.from_anchor(np.zeros(3))
-    assert np.allclose(lp.mode, 0.0)
-    assert np.allclose(lp.hessian, np.eye(3))
-    assert lp.X.shape == (0, 3)
+    # with no observations the Laplace posterior is the anchor N(w0, I)
+    mode, hessian = _refit_one(np.zeros(3), np.zeros((0, 3)), np.zeros(0))
+    assert np.array_equal(mode, np.zeros(3))
+    assert np.array_equal(hessian, np.eye(3))
 
 
 def test_laplace_update_reaches_gradient_tolerance():
     rng = np.random.default_rng(11)
-    lp = LaplacePosterior.from_anchor(np.zeros(2))
+    mode, X, y = np.zeros(2), np.zeros((0, 2)), np.zeros(0)
     eta = 1.0
     for _ in range(30):
-        x = rng.standard_normal(2)
-        y = 1.0 if rng.uniform() < 0.5 else -1.0
-        lp = laplace_update(lp, DataPoint(x, y), eta)
+        X = np.vstack([X, rng.standard_normal(2)])
+        y = np.append(y, 1.0 if rng.uniform() < 0.5 else -1.0)
+        mode, _ = _refit_one(mode, X, y, eta)
         # gradient of F at the stored mode
-        z = lp.X @ lp.mode
+        z = X @ mode
         sig = 1.0 / (1.0 + np.exp(-z))
-        coeff = -lp.y * np.where(lp.y > 0, 1.0 - sig, sig)
-        grad = (lp.mode - lp.w0) + eta * lp.X.T @ coeff
+        coeff = -y * np.where(y > 0, 1.0 - sig, sig)
+        grad = mode + eta * X.T @ coeff
         assert np.linalg.norm(grad) <= 1e-8
-
-
-def test_laplace_update_rejects_bad_label():
-    lp = LaplacePosterior.from_anchor(np.zeros(1))
-    with pytest.raises(LabelRangeError):
-        laplace_update(lp, DataPoint(np.ones(1), 0.5), 1.0)
 
 
 def test_laplace_mode_matches_grid_argmin_1d():
     rng = np.random.default_rng(12)
-    lp = LaplacePosterior.from_anchor(np.zeros(1))
+    mode, X, y = np.zeros(1), np.zeros((0, 1)), np.zeros(0)
     pts = []
     for _ in range(10):
         x = np.array([rng.uniform(0.5, 1.5)])
-        y = 1.0 if rng.uniform() < 0.7 else -1.0
-        pts.append(DataPoint(x, y))
-        lp = laplace_update(lp, pts[-1], 1.0)
+        label = 1.0 if rng.uniform() < 0.7 else -1.0
+        pts.append(DataPoint(x, label))
+        X, y = np.vstack([X, x]), np.append(y, label)
+        mode, _ = _refit_one(mode, X, y)
     ws = np.linspace(-4, 4, 80_001)
     F = 0.5 * ws**2
     for pt in pts:
         F = F + logistic_loss(ws * pt.x[0], pt.y)
     w_star = ws[np.argmin(F)]
-    assert lp.mode[0] == pytest.approx(w_star, abs=1e-4)
+    assert mode[0] == pytest.approx(w_star, abs=1e-4)
 
 
 def test_line_search_without_decrease_raises(monkeypatch):
@@ -136,23 +143,20 @@ def test_line_search_without_decrease_raises(monkeypatch):
         return values + len(calls), grads, hess  # every trial step raises F
 
     monkeypatch.setattr(posterior, "_laplace_value_grad_hess", rising)
-    lp = LaplacePosterior.from_anchor(np.zeros(2))
     with pytest.raises(NewtonConvergenceError):
-        laplace_update(lp, DataPoint(np.array([1.0, -0.5]), 1.0), 1.0)
+        _refit_one(np.zeros(2), np.array([[1.0, -0.5]]), np.array([1.0]))
     assert len(calls) == 1 + posterior.MAX_HALVINGS
 
 
 def test_laplace_mix_factor_against_exact_grid():
     # d=1: quadrature on the Laplace Gaussian vs dense grid integration
-    lp = LaplacePosterior.from_anchor(np.zeros(1))
     eta = 1.0
-    pt0 = DataPoint(np.ones(1), 1.0)
-    lp = laplace_update(lp, pt0, eta)
+    mode, hessian = _refit_one(np.zeros(1), np.ones((1, 1)), np.ones(1), eta)
     pt = DataPoint(np.array([0.7]), -1.0)
-    got = laplace_mix_factor(lp, pt, eta)
+    got = _logistic_factor(mode, hessian, pt, eta)
 
-    mu = lp.mode[0] * pt.x[0]
-    v = pt.x[0] ** 2 / lp.hessian[0, 0]
+    mu = mode[0] * pt.x[0]
+    v = pt.x[0] ** 2 / hessian[0, 0]
     grid = gaussian_grid(mu, v, lo=mu - 10 * np.sqrt(v), hi=mu + 10 * np.sqrt(v), n=20_001)
     want = np.sum(grid.values * np.exp(-eta * logistic_loss(grid.grid, pt.y))) * grid.dz
     assert got == pytest.approx(want, rel=1e-9)
@@ -160,14 +164,15 @@ def test_laplace_mix_factor_against_exact_grid():
 
 def test_mix_factors_bounded_by_one():
     rng = np.random.default_rng(13)
-    lp = LaplacePosterior.from_anchor(np.zeros(2))
+    mode, hessian, X, y = np.zeros(2), np.eye(2), np.zeros((0, 2)), np.zeros(0)
     qp = QuadraticPosterior.from_anchor(np.zeros(2))
     for _ in range(15):
         x = rng.standard_normal(2)
         ylog = 1.0 if rng.uniform() < 0.5 else -1.0
         ysq = float(np.clip(rng.standard_normal(), -1, 1))
-        assert 0.0 < laplace_mix_factor(lp, DataPoint(x, ylog), 1.0) <= 1.0
+        assert 0.0 < _logistic_factor(mode, hessian, DataPoint(x, ylog)) <= 1.0
         assert 0.0 < quad_mix_factor(qp, DataPoint(x, ysq), 1.0) <= 1.0
         assert log_quad_mix_factor(qp, DataPoint(x, ysq), 1.0) <= 0.0
-        lp = laplace_update(lp, DataPoint(x, ylog), 1.0)
+        X, y = np.vstack([X, x]), np.append(y, ylog)
+        mode, hessian = _refit_one(mode, X, y)
         qp = quad_update(qp, DataPoint(x, ysq), 1.0)
