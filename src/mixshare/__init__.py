@@ -11,7 +11,7 @@ from .core import (
     loss_eval,
     path_length,
 )
-from .gaussian import GaussianDist, Pushforward1D, entropy, kl_divergence
+from .gaussian import GaussianDist, entropy, kl_divergence
 
 __all__ = [
     "ComparatorSequence",
@@ -20,7 +20,6 @@ __all__ = [
     "GaussianDist",
     "LossKind",
     "LossSpec",
-    "Pushforward1D",
     "RegretReport",
     "dynamic_regret",
     "entropy",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DataPoint, DimensionError, DomainSpec, LossKind, LossSpec
+from .core import DataPoint, DimensionError, DomainSpec, LabelRangeError, LossKind, LossSpec
 from .forecasters import GaussianMixture, ScalarGaussianMixture
 from .gaussian import logsumexp, tilt_rank_one
 from .posterior import laplace_refit, log_logistic_mix_factors
@@ -168,12 +168,12 @@ def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:
     if s.quadratic:
         B = s.loss_spec.B
         if abs(point.y) > B:
-            raise ValueError(f"|y| = {abs(point.y)} exceeds label bound B = {B}")
+            raise LabelRangeError(f"|y| = {abs(point.y)} exceeds label bound B = {B}")
         # exp(-(x'w - y)^2 / (2 B^2)) is the tilt with a = 1/(2B^2), b = 0, c = y
         log_factors = tilt_rank_one(means, covs, point.x, 0.5 / (B * B), 0.0, point.y)
     else:
         if point.y not in (-1.0, 1.0):
-            raise ValueError(f"logistic labels must be +/-1, got {point.y}")
+            raise LabelRangeError(f"logistic labels must be +/-1, got {point.y}")
         eta = s.loss_spec.eta
         pf = pushforward_mixture(s, point.x)
         log_factors = log_logistic_mix_factors(pf.mu, pf.v, point.y, eta)

@@ -1,9 +1,12 @@
 """Mix predictions from Gaussian mixtures for each loss family.
 
-The squared-loss forecaster evaluates the mix loss at the two label
-endpoints and clips; least-squares reduces to the same rule on the 1-D
-pushforward mixture; the logistic forecaster inverts the sigmoid of the
-mixture-averaged success probability.
+Every forecaster works on the 1-D mixture of the score w'x
+(``GaussianMixture.pushforward``).  The squared-loss forecaster, for the
+squared 1-D and least-squares families alike, evaluates the mix loss at
+the two label endpoints and clips.  The logistic forecaster inverts the
+sigmoid of the mixture-averaged success probability, which it takes from
+the one logistic quadrature, ``posterior.log_logistic_mix_factors``, as
+does the logistic mix loss.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import gauss_hermite_nodes, log_sq_exp_integral, logsumexp
+from .gaussian import log_sq_exp_integral, logsumexp
+from .posterior import log_logistic_mix_factors
 
 PROB_CLAMP = 1e-12
 
@@ -64,13 +68,12 @@ class GaussianMixture:
 @dataclass(frozen=True)
 class MixLossValue:
     value: float
-    y_probe: float
 
 
 def mix_loss_squared(mix: ScalarGaussianMixture, y: float, B: float) -> MixLossValue:
     """-2 B^2 ln sum_i p_i E_i[exp(-(z - y)^2 / (2 B^2))], in log-space."""
     log_terms = mix.log_w + log_sq_exp_integral(mix.mu, mix.v, y, B)
-    return MixLossValue(value=-2.0 * B * B * float(logsumexp(log_terms)), y_probe=y)
+    return MixLossValue(value=-2.0 * B * B * float(logsumexp(log_terms)))
 
 
 def predict_squared_1d(mix: ScalarGaussianMixture, B: float) -> float:
@@ -81,40 +84,31 @@ def predict_squared_1d(mix: ScalarGaussianMixture, B: float) -> float:
     return float(np.clip(z, -B, B))
 
 
-def predict_least_squares(mix: GaussianMixture, x: np.ndarray, B: float) -> float:
-    """Squared-loss mix prediction applied to the pushforward of w'x."""
-    return predict_squared_1d(mix.pushforward(x), B)
+def mean_sigmoid(mix: ScalarGaussianMixture) -> float:
+    """sum_i p_i E_{z ~ N(mu_i, v_i)}[sigmoid(z)], in log-space.
+
+    sigmoid(z) = exp(-logistic(z, +1)), so each component's expectation
+    is its logistic mix factor at y = +1 and eta = 1.
+    """
+    return float(np.exp(logsumexp(mix.log_w + log_logistic_mix_factors(mix.mu, mix.v, 1.0, 1.0))))
 
 
-def mean_sigmoid(mix: ScalarGaussianMixture, n_nodes: int = 64) -> float:
-    """sum_i p_i E_{z ~ N(mu_i, v_i)}[sigmoid(z)] by Gauss-Hermite quadrature."""
-    nodes, weights = gauss_hermite_nodes(n_nodes)
-    z = mix.mu[:, None] + np.sqrt(2.0 * mix.v)[:, None] * nodes[None, :]
-    sig = _sigmoid(z)
-    per_comp = sig @ weights / np.sqrt(np.pi)
-    return float(np.exp(logsumexp(mix.log_w, b=per_comp)))
-
-
-def predict_logistic(mix: ScalarGaussianMixture, n_nodes: int = 64) -> float:
+def predict_logistic(mix: ScalarGaussianMixture) -> float:
     """Inverse sigmoid of the mixture-averaged probability sigma(z)."""
-    p = mean_sigmoid(mix, n_nodes)
+    p = mean_sigmoid(mix)
     p = float(np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))
     return float(np.log(p / (1.0 - p)))
 
 
-def mix_loss_logistic(mix: ScalarGaussianMixture, y: float, n_nodes: int = 64) -> MixLossValue:
+def mix_loss_logistic(mix: ScalarGaussianMixture, y: float) -> MixLossValue:
     """-ln sum_i p_i E_i[exp(-logistic(z, y))] on the score mixture.
 
     Uses exp(-loss(z, +1)) = sigmoid(z) and exp(-loss(z, -1)) =
     1 - sigmoid(z), sharing the quadrature values with the forecaster so
     the mixability gap vanishes identically for Gaussian components.
     """
-    p = mean_sigmoid(mix, n_nodes)
+    p = mean_sigmoid(mix)
     factor = p if y > 0 else 1.0 - p
     factor = float(np.clip(factor, PROB_CLAMP, 1.0 - PROB_CLAMP))
-    return MixLossValue(value=-float(np.log(factor)), y_probe=y)
+    return MixLossValue(value=-float(np.log(factor)))
 
-
-def _sigmoid(z):
-    p = 1.0 / (1.0 + np.exp(-np.abs(z)))
-    return np.where(z >= 0, p, 1.0 - p)

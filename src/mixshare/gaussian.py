@@ -1,11 +1,12 @@
 """Gaussian distribution arithmetic.
 
-Closed-form entropy and KL divergence, 1-D pushforwards of multivariate
-Gaussians, the Gaussian integral of a squared exponential, quadratic-tilt
-integrals, the in-place rank-one tilt of a stack of Gaussians, a numpy
-log-sum-exp, and Gauss-Hermite quadrature.  All integrals are computed in
-log-space and exponentiated once, so that long products of per-round
-weight factors stay stable.
+Closed-form entropy and KL divergence of one Gaussian, and the 1-D
+Gaussian integrals of the per-round mix factors, evaluated elementwise
+over stacked arrays of pushforward means and variances: the squared
+exponential and the quadratic tilt.  Also the in-place rank-one tilt of a
+stack of Gaussians and a numpy log-sum-exp.  The integrals are returned
+in log-space, so that long products of per-round weight factors stay
+stable.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-_GH_NODE_COUNTS = (16, 32, 64, 128)
-_GH_CACHE = {n: np.polynomial.hermite.hermgauss(n) for n in _GH_NODE_COUNTS}
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -76,18 +74,6 @@ class GaussianDist:
         return self.mean + z @ self.chol.T
 
 
-@dataclass(frozen=True)
-class Pushforward1D:
-    """1-D law of w'x for w ~ N(mean, cov): mu = mean'x, v = x'cov x."""
-
-    mu: float
-    v: float
-
-    def __post_init__(self):
-        if self.v < 0:
-            raise ValueError(f"pushforward variance must be nonnegative, got {self.v}")
-
-
 def entropy(g: GaussianDist) -> float:
     """Differential entropy (d/2) ln(2 pi e) + (1/2) ln|cov|."""
     return 0.5 * g.d * (LOG_2PI + 1.0) + 0.5 * g.log_det_cov
@@ -103,16 +89,6 @@ def kl_divergence(q: GaussianDist, p: GaussianDist) -> float:
     return 0.5 * (p.log_det_cov - q.log_det_cov + trace + maha - q.d)
 
 
-def pushforward(g: GaussianDist, x: np.ndarray) -> Pushforward1D:
-    """Project a Gaussian over weights to the scalar law of w'x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.d,):
-        raise ValueError(f"feature shape {x.shape}, expected ({g.d},)")
-    if not np.any(x):
-        raise ValueError("pushforward direction must be nonzero")
-    return Pushforward1D(mu=float(g.mean @ x), v=float(x @ g.cov @ x))
-
-
 def log_sq_exp_integral(mu, v, y: float, B: float):
     """log E_{z ~ N(mu, v)}[exp(-(z - y)^2 / (2 B^2))], elementwise in (mu, v).
 
@@ -123,13 +99,6 @@ def log_sq_exp_integral(mu, v, y: float, B: float):
     b2 = B * B
     total = b2 + v
     return 0.5 * (np.log(b2) - np.log(total)) - (mu - y) ** 2 / (2.0 * total)
-
-
-def sq_exp_integral(pf: Pushforward1D, y: float, B: float) -> float:
-    """E_{z ~ N(mu, v)}[exp(-(z - y)^2 / (2 B^2))], in (0, 1]."""
-    if B <= 0:
-        raise ValueError("B must be positive")
-    return float(np.exp(log_sq_exp_integral(pf.mu, pf.v, y, B)))
 
 
 def log_tilted_gauss_integral(mu, v, a: float, b: float):
@@ -183,24 +152,3 @@ def logsumexp(a, axis=None, b=None):
         terms = terms * b
     with np.errstate(divide="ignore"):
         return np.log(terms.sum(axis=axis)) + shift.squeeze(axis=axis)
-
-
-def tilted_gauss_integral(pf: Pushforward1D, a: float, b: float) -> float:
-    """E_{s ~ N(mu, v)}[exp(-a s^2 - b s)]; finite and positive."""
-    return float(np.exp(log_tilted_gauss_integral(pf.mu, pf.v, a, b)))
-
-
-def gauss_hermite_expect(pf: Pushforward1D, f, n_nodes: int = 64) -> float:
-    """E_{z ~ N(mu, v)}[f(z)] by Gauss-Hermite quadrature.
-
-    Exact for polynomials of degree <= 2 n_nodes - 1.
-    """
-    nodes, weights = gauss_hermite_nodes(n_nodes)
-    z = pf.mu + np.sqrt(2.0 * pf.v) * nodes
-    return float(np.sum(weights * f(z)) / np.sqrt(np.pi))
-
-
-def gauss_hermite_nodes(n_nodes: int):
-    if n_nodes not in _GH_CACHE:
-        raise ValueError(f"unsupported node count {n_nodes}; choose one of {_GH_NODE_COUNTS}")
-    return _GH_CACHE[n_nodes]

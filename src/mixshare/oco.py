@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainSpec
+from .core import DimensionError, DomainSpec
 from .ensemble import FixedShareMixture, HorizonExceededError
 from .forecasters import GaussianMixture
 from .gaussian import LOG_2PI, logsumexp, tilt_rank_one
@@ -127,14 +127,18 @@ def approx_project_to_M(mix: GaussianMixture, domain: DomainSpec, T: int) -> Mix
 
 def oco_round(s: OcoState, grad_oracle) -> tuple:
     """One full round in place: predict the mean, tilt, repair, fixed share;
-    returns (w_t, s).  Past the horizon it raises before calling the oracle."""
+    returns (w_t, s).  Past the horizon it raises before calling the oracle;
+    a gradient of the wrong shape, non-finite or above G raises before the
+    state is touched."""
     if s.round > s.horizon:
         raise HorizonExceededError(f"round {s.round} exceeds horizon {s.horizon}")
     w_t = predict_mean(s)
     if not s.domain.contains(w_t, tol=1e-9):
         raise ConstraintViolationError("mixture mean escaped the domain")
     g = np.asarray(grad_oracle(w_t), dtype=float)
-    if float(np.linalg.norm(g)) > s.G * (1.0 + 1e-9):
+    if g.shape != s.w0.shape:
+        raise DimensionError(f"gradient shape {g.shape}, expected {s.w0.shape}")
+    if not float(np.linalg.norm(g)) <= s.G * (1.0 + 1e-9):  # NaN fails too
         raise ValueError(f"gradient norm {np.linalg.norm(g)} exceeds declared bound G = {s.G}")
     live = s.view()
     log_factors = ew_update_surrogate(live, make_surrogate(g, w_t, s.gamma))

@@ -7,9 +7,10 @@ logistic loss uses a Laplace approximation refit by warm-started damped
 Newton after each observation.  ``laplace_refit`` is the package's only
 Newton refit: it refits a batch of learners, each over its own suffix of
 one shared history, so the ensemble refits all of its learners in one
-call.  ``log_logistic_mix_factors`` is likewise the one logistic
-quadrature of the per-round mix factor E_P[exp(-eta * loss)] consumed by
-the meta-learner.
+call.  ``log_logistic_mix_factors`` is the package's only Gauss-Hermite
+quadrature, on one fixed 64-node rule: it gives the per-round mix factors
+E_P[exp(-eta * loss)] consumed by the meta-learner and, at eta = 1 and
+y = +1, the mean sigmoid of the logistic forecaster.
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataPoint, LabelRangeError
-from .gaussian import GaussianDist, gauss_hermite_nodes, log_sq_exp_integral, logsumexp
+from .gaussian import log_sq_exp_integral, logsumexp
+
+# Gauss-Hermite rule for E_{z ~ N(mu, v)}[f(z)] = sum_j w_j f(mu + sqrt(2v) t_j) / sqrt(pi).
+_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(64)
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -62,10 +66,6 @@ class QuadraticPosterior:
     def cov(self) -> np.ndarray:
         return np.linalg.inv(self.precision)
 
-    def as_gaussian(self) -> GaussianDist:
-        cov = self.cov
-        return GaussianDist(self.mean, 0.5 * (cov + cov.T))
-
 
 def quad_update(p: QuadraticPosterior, point: DataPoint, B: float) -> QuadraticPosterior:
     """Multiply the posterior by exp(-(w'x - y)^2 / (2 B^2)) and renormalize."""
@@ -80,12 +80,8 @@ def quad_update(p: QuadraticPosterior, point: DataPoint, B: float) -> QuadraticP
     )
 
 
-def quad_mix_factor(p: QuadraticPosterior, point: DataPoint, B: float) -> float:
-    """E_P[exp(-(w'x - y)^2 / (2 B^2))] via the 1-D pushforward closed form."""
-    return float(np.exp(log_quad_mix_factor(p, point, B)))
-
-
 def log_quad_mix_factor(p: QuadraticPosterior, point: DataPoint, B: float) -> float:
+    """log E_P[exp(-(w'x - y)^2 / (2 B^2))] via the 1-D pushforward closed form."""
     x = point.x
     mean = p.mean
     v = float(x @ np.linalg.solve(p.precision, x))
@@ -175,13 +171,12 @@ def laplace_refit(modes, w0, X, y, starts, eta):
     )
 
 
-def log_logistic_mix_factors(mu, v, y: float, eta: float, n_nodes: int = 64) -> np.ndarray:
+def log_logistic_mix_factors(mu, v, y: float, eta: float) -> np.ndarray:
     """log E[exp(-eta * logistic(z, y))] for z ~ N(mu_i, v_i), for every i.
 
-    Gauss-Hermite quadrature in log-space; capped at 0 since the loss is
-    nonnegative.
+    64-node Gauss-Hermite quadrature in log-space; capped at 0 since the
+    loss is nonnegative.
     """
-    nodes, weights = gauss_hermite_nodes(n_nodes)
-    z = mu[:, None] + np.sqrt(2.0 * v)[:, None] * nodes[None, :]
+    z = mu[:, None] + np.sqrt(2.0 * v)[:, None] * _GH_NODES[None, :]
     log_vals = -eta * np.logaddexp(0.0, -y * z)
-    return np.minimum(logsumexp(log_vals, b=weights[None, :] / np.sqrt(np.pi), axis=1), 0.0)
+    return np.minimum(logsumexp(log_vals, b=_GH_WEIGHTS[None, :] / np.sqrt(np.pi), axis=1), 0.0)

@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixshare import ensemble
-from mixshare.core import DataPoint, DomainSpec, LossSpec, logistic_loss
+from mixshare import ensemble, oco
+from mixshare.core import DataPoint, DimensionError, DomainSpec, LabelRangeError, LossSpec, logistic_loss
 from mixshare.gaussian import logsumexp
 from mixshare.posterior import QuadraticPosterior, laplace_refit, quad_update
 
@@ -112,6 +114,54 @@ def test_buffer_growth_keeps_every_number(monkeypatch):
     assert np.array_equal(doubling.covs(), preallocated.covs())
 
 
+def _assert_mixture_invariants(s):
+    assert abs(logsumexp(s.log_weights)) <= 1e-12
+    covs = s.covs()
+    scale = max(1.0, float(np.max(np.abs(covs))))
+    assert np.max(np.abs(covs - np.swapaxes(covs, 1, 2))) <= 1e-12 * scale
+    np.linalg.cholesky(covs)
+    assert s.births == tuple(range(1, s.round + 1))
+    assert s.n_learners <= s.horizon + 1 and s._log_w.size <= s.horizon + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["squared1d", "least_squares", "logistic", "oco"]),
+    st.integers(1, 20),
+    st.integers(1, 4),
+    st.floats(0.05, 3.0),
+    st.integers(0, 10_000),
+)
+def test_fixed_share_mixture_invariants(kind, T, capacity, scale, seed):
+    # random short streams through every learner on FixedShareMixture,
+    # starting from small buffers so that they double mid-stream
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(ensemble, "_INITIAL_CAPACITY", capacity):
+        if kind == "oco":
+            dom = DomainSpec(2, scale)
+            s = oco.init_oco(dom, T, eta=1.0 / dom.diameter**2, G=2.0 * dom.R)
+            steps = T
+        else:
+            d = 1 if kind == "squared1d" else 3
+            spec = {
+                "squared1d": LossSpec.squared_1d(),
+                "least_squares": LossSpec.least_squares(),
+                "logistic": LossSpec.logistic(),
+            }[kind]
+            s = ensemble.init(spec, DomainSpec(d, 1.0), T)
+            steps = T - 1
+        _assert_mixture_invariants(s)
+        for _ in range(steps):
+            if kind == "oco":
+                c = dom.project(rng.standard_normal(2))
+                _, s = oco.oco_round(s, lambda w: w - c)
+            else:
+                x = scale * rng.standard_normal(d)
+                y = rng.uniform(-1.0, 1.0) if s.quadratic else rng.choice([-1.0, 1.0])
+                s = ensemble.observe(s, DataPoint(x, float(y)))
+            _assert_mixture_invariants(s)
+
+
 def test_observe_advances_in_place_with_read_only_views():
     s, _ = _squared_state(T=10)
     assert ensemble.observe(s, DataPoint(np.ones(1), 0.2)) is s
@@ -120,17 +170,17 @@ def test_observe_advances_in_place_with_read_only_views():
 
 
 @pytest.mark.parametrize(
-    "point",
-    [DataPoint(np.ones(2), 1.5), DataPoint(np.ones(3), 0.0)],
+    "point, error",
+    [(DataPoint(np.ones(2), 1.5), LabelRangeError), (DataPoint(np.ones(3), 0.0), DimensionError)],
     ids=["label_above_B", "wrong_dimension"],
 )
-def test_rejected_point_leaves_state_untouched(point):
+def test_rejected_point_leaves_state_untouched(point, error):
     rng = np.random.default_rng(36)
     s, _ = _squared_state(T=10, d=2)
     for _ in range(3):
         s = ensemble.observe(s, DataPoint(rng.standard_normal(2), 0.1))
     before = (s.round, s.births, s.log_weights.copy(), s.means(), s.covs())
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         ensemble.observe(s, point)
     assert (s.round, s.births) == before[:2]
     for got, want in zip((s.log_weights, s.means(), s.covs()), before[2:]):
@@ -176,7 +226,7 @@ def test_logistic_modes_match_grid_argmin_of_their_suffix_1d():
 def test_logistic_rejects_bad_label():
     spec = LossSpec.logistic()
     s = ensemble.init(spec, DomainSpec(1, 1.0), 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(LabelRangeError):
         ensemble.observe(s, DataPoint(np.ones(1), 0.3))
 
 

@@ -8,7 +8,6 @@ from mixshare.forecasters import (
     mean_sigmoid,
     mix_loss_logistic,
     mix_loss_squared,
-    predict_least_squares,
     predict_logistic,
     predict_squared_1d,
 )
@@ -92,7 +91,9 @@ def test_least_squares_shares_scalar_code_path():
     mix = GaussianMixture(np.log(w), means, covs)
     x = rng.standard_normal(d)
     B = 2.0
-    assert predict_least_squares(mix, x, B) == predict_squared_1d(mix.pushforward(x), B)
+    # the least-squares forecast is the squared-loss rule on the per-component laws of w'x
+    scalar = ScalarGaussianMixture.from_weights(w, [m @ x for m in means], [x @ c @ x for c in covs])
+    assert predict_squared_1d(mix.pushforward(x), B) == pytest.approx(predict_squared_1d(scalar, B), rel=1e-12)
 
 
 def test_mean_sigmoid_matches_mc():
@@ -102,6 +103,15 @@ def test_mean_sigmoid_matches_mc():
     z = mix.mu[comp] + np.sqrt(mix.v[comp]) * rng.standard_normal(400_000)
     mc = np.mean(1.0 / (1.0 + np.exp(-z)))
     assert mean_sigmoid(mix) == pytest.approx(mc, abs=3e-3)
+
+
+def test_mean_sigmoid_accurate_in_the_tail():
+    # sigmoid(z) = e^z - e^{2z} + ..., so E[sigmoid(z)] = exp(mu + v/2) to
+    # relative exp(mu + 3v/2) for z ~ N(mu, v) far below zero; forming
+    # 1 - sigmoid(-z) there would cancel all but a few digits
+    for mu, v in ((-30.0, 1.0), (-25.0, 0.3), (-35.0, 2.0)):
+        mix = ScalarGaussianMixture.from_weights([1.0], [mu], [v])
+        assert mean_sigmoid(mix) == pytest.approx(np.exp(mu + 0.5 * v), rel=1e-10)
 
 
 def test_logistic_prediction_inverts_mean_probability():

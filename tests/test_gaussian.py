@@ -1,27 +1,30 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.hermite import hermgauss
 
+from mixshare import posterior
+from mixshare.forecasters import GaussianMixture
 from mixshare.gaussian import (
     CovarianceError,
     GaussianDist,
-    Pushforward1D,
     entropy,
-    gauss_hermite_expect,
-    gauss_hermite_nodes,
     kl_divergence,
     log_sq_exp_integral,
     log_tilted_gauss_integral,
     logsumexp,
-    pushforward,
-    sq_exp_integral,
-    tilted_gauss_integral,
 )
 
 
 def _random_spd(rng, d):
     a = rng.standard_normal((d, d))
     return a @ a.T + 0.5 * np.eye(d)
+
+
+def _gh_expect(mu, v, f, rule):
+    """E_{z ~ N(mu, v)}[f(z)] by the Gauss-Hermite rule (nodes, weights)."""
+    nodes, weights = rule
+    return float(np.sum(weights * f(mu + np.sqrt(2.0 * v) * nodes)) / np.sqrt(np.pi))
 
 
 def test_gaussian_rejects_asymmetric_cov():
@@ -91,27 +94,15 @@ def test_sample_moments():
 
 
 def test_pushforward_values():
-    g = GaussianDist(np.array([1.0, 2.0]), np.diag([1.0, 4.0]))
-    pf = pushforward(g, np.array([1.0, 1.0]))
-    assert pf.mu == pytest.approx(3.0)
-    assert pf.v == pytest.approx(5.0)
-
-
-def test_pushforward_rejects_zero_direction():
-    g = GaussianDist(np.zeros(2), np.eye(2))
-    with pytest.raises(ValueError):
-        pushforward(g, np.zeros(2))
-
-
-def test_pushforward_rejects_negative_variance():
-    with pytest.raises(ValueError):
-        Pushforward1D(0.0, -1.0)
+    mix = GaussianMixture(np.zeros(1), np.array([[1.0, 2.0]]), np.diag([1.0, 4.0])[None, :, :])
+    pf = mix.pushforward(np.array([1.0, 1.0]))
+    assert pf.mu[0] == pytest.approx(3.0)
+    assert pf.v[0] == pytest.approx(5.0)
 
 
 def test_sq_exp_integral_point_mass_limit():
     # v = 0 reduces to exp(-(mu - y)^2 / (2 B^2))
-    pf = Pushforward1D(0.3, 0.0)
-    assert sq_exp_integral(pf, 1.0, 1.0) == pytest.approx(np.exp(-0.49 / 2.0))
+    assert np.exp(log_sq_exp_integral(0.3, 0.0, 1.0, 1.0)) == pytest.approx(np.exp(-0.49 / 2.0))
 
 
 def test_sq_exp_integral_vs_quadrature():
@@ -119,9 +110,8 @@ def test_sq_exp_integral_vs_quadrature():
     for _ in range(20):
         mu, v = rng.uniform(-2, 2), rng.uniform(0.01, 3)
         y, B = rng.uniform(-1, 1), rng.uniform(0.5, 2)
-        pf = Pushforward1D(mu, v)
-        closed = sq_exp_integral(pf, y, B)
-        quad = gauss_hermite_expect(pf, lambda z: np.exp(-((z - y) ** 2) / (2 * B * B)), 128)
+        closed = np.exp(log_sq_exp_integral(mu, v, y, B))
+        quad = _gh_expect(mu, v, lambda z: np.exp(-((z - y) ** 2) / (2 * B * B)), hermgauss(128))
         assert closed == pytest.approx(quad, rel=1e-8)
 
 
@@ -135,9 +125,8 @@ def test_sq_exp_integral_in_unit_interval():
 
 def test_tilted_integral_is_mgf_at_zero_quadratic():
     # a = 0 reduces to the Gaussian MGF E[exp(-b s)] = exp(-b mu + b^2 v / 2)
-    pf = Pushforward1D(0.4, 1.7)
     b = 0.9
-    assert tilted_gauss_integral(pf, 0.0, b) == pytest.approx(np.exp(-b * 0.4 + b * b * 1.7 / 2.0))
+    assert np.exp(log_tilted_gauss_integral(0.4, 1.7, 0.0, b)) == pytest.approx(np.exp(-b * 0.4 + b * b * 1.7 / 2.0))
 
 
 def test_tilted_integral_vs_quadrature():
@@ -145,9 +134,8 @@ def test_tilted_integral_vs_quadrature():
     for _ in range(20):
         mu, v = rng.uniform(-1.5, 1.5), rng.uniform(0.0, 2.0)
         a, b = rng.uniform(0, 0.5), rng.uniform(-1, 1)
-        pf = Pushforward1D(mu, v)
-        closed = tilted_gauss_integral(pf, a, b)
-        quad = gauss_hermite_expect(pf, lambda s: np.exp(-a * s * s - b * s), 128)
+        closed = np.exp(log_tilted_gauss_integral(mu, v, a, b))
+        quad = _gh_expect(mu, v, lambda s: np.exp(-a * s * s - b * s), hermgauss(128))
         assert closed == pytest.approx(quad, rel=1e-7)
 
 
@@ -157,16 +145,12 @@ def test_tilted_integral_rejects_negative_a():
 
 
 def test_gauss_hermite_exact_for_polynomials():
-    pf = Pushforward1D(1.5, 2.0)
-    # E[z^2] = mu^2 + v
-    assert gauss_hermite_expect(pf, lambda z: z * z, 16) == pytest.approx(1.5**2 + 2.0)
-    # E[z^3] = mu^3 + 3 mu v
-    assert gauss_hermite_expect(pf, lambda z: z**3, 16) == pytest.approx(1.5**3 + 3 * 1.5 * 2.0)
-
-
-def test_gauss_hermite_unsupported_count():
-    with pytest.raises(ValueError):
-        gauss_hermite_nodes(17)
+    # the 16-node rule and the package's 64-node logistic rule
+    for rule in (hermgauss(16), (posterior._GH_NODES, posterior._GH_WEIGHTS)):
+        # E[z^2] = mu^2 + v
+        assert _gh_expect(1.5, 2.0, lambda z: z * z, rule) == pytest.approx(1.5**2 + 2.0)
+        # E[z^3] = mu^3 + 3 mu v
+        assert _gh_expect(1.5, 2.0, lambda z: z**3, rule) == pytest.approx(1.5**3 + 3 * 1.5 * 2.0)
 
 
 def test_logsumexp_matches_scipy():

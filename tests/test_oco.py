@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mixshare import ensemble, oco
-from mixshare.core import DomainSpec
+from mixshare.core import DimensionError, DomainSpec
 from mixshare.forecasters import GaussianMixture
 from mixshare.gaussian import LOG_2PI, logsumexp, tilt_rank_one
 
@@ -253,11 +253,28 @@ def test_oco_buffer_growth_keeps_every_number(monkeypatch):
     assert np.array_equal(doubling.covs(), preallocated.covs())
 
 
-def test_oco_round_rejects_oversized_gradient():
+@pytest.mark.parametrize(
+    "g, error",
+    [
+        (np.array([5.0, 0.0]), ValueError),
+        (np.array([np.nan, 0.0]), ValueError),
+        (np.array([np.inf, 0.0]), ValueError),
+        (np.zeros(3), DimensionError),
+    ],
+    ids=["oversized", "nan", "inf", "wrong_shape"],
+)
+def test_oco_round_rejects_bad_gradient(g, error):
+    rng = np.random.default_rng(45)
     dom = DomainSpec(2, 1.0)
     s = oco.init_oco(dom, 10, eta=0.25, G=1.0)
-    with pytest.raises(ValueError):
-        oco.oco_round(s, lambda w: np.array([5.0, 0.0]))
+    for _ in range(3):
+        _, s = oco.oco_round(s, lambda w: 0.5 * dom.project(rng.standard_normal(2)))
+    before = (s.round, s.births, s.log_weights.copy(), s.means(), s.covs())
+    with pytest.raises(error):
+        oco.oco_round(s, lambda w: g)
+    assert (s.round, s.births) == before[:2]
+    for got, want in zip((s.log_weights, s.means(), s.covs()), before[2:]):
+        assert np.array_equal(got, want)
 
 
 def test_surrogate_upper_bounds_loss_difference():

@@ -3,13 +3,13 @@ import pytest
 
 from mixshare import posterior
 from mixshare.core import DataPoint, LabelRangeError, logistic_loss
+from mixshare.gaussian import GaussianDist
 from mixshare.posterior import (
     NewtonConvergenceError,
     QuadraticPosterior,
     laplace_refit,
     log_logistic_mix_factors,
     log_quad_mix_factor,
-    quad_mix_factor,
     quad_update,
     quad_variance_recursion_check,
 )
@@ -38,7 +38,7 @@ def test_quad_update_rejects_label_out_of_range():
 
 def test_quad_mix_factor_closed_form():
     p = QuadraticPosterior.from_anchor(np.zeros(1))
-    got = quad_mix_factor(p, DataPoint(np.ones(1), 1.0), B=1.0)
+    got = np.exp(log_quad_mix_factor(p, DataPoint(np.ones(1), 1.0), B=1.0))
     # E_{N(0,1)}[exp(-(z-1)^2/2)] = sqrt(1/2) exp(-1/4)
     assert got == pytest.approx(np.sqrt(0.5) * np.exp(-0.25))
 
@@ -49,7 +49,8 @@ def test_quad_posterior_density_matches_grid_2d():
     p = QuadraticPosterior.from_anchor(np.zeros(2))
     pt = DataPoint(np.array([0.8, -0.4]), 0.5)
     B = 1.0
-    post = quad_update(p, pt, B).as_gaussian()
+    q = quad_update(p, pt, B)
+    post = GaussianDist(q.mean, 0.5 * (q.cov + q.cov.T))
 
     n = 401
     grid = np.linspace(-6, 6, n)
@@ -171,7 +172,7 @@ def test_mix_factors_bounded_by_one():
         ylog = 1.0 if rng.uniform() < 0.5 else -1.0
         ysq = float(np.clip(rng.standard_normal(), -1, 1))
         assert 0.0 < _logistic_factor(mode, hessian, DataPoint(x, ylog)) <= 1.0
-        assert 0.0 < quad_mix_factor(qp, DataPoint(x, ysq), 1.0) <= 1.0
+        assert 0.0 < np.exp(log_quad_mix_factor(qp, DataPoint(x, ysq), 1.0)) <= 1.0
         assert log_quad_mix_factor(qp, DataPoint(x, ysq), 1.0) <= 0.0
         X, y = np.vstack([X, x]), np.append(y, ylog)
         mode, hessian = _refit_one(mode, X, y)
