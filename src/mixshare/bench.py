@@ -383,7 +383,8 @@ class ExperimentResult:
             val = getattr(cfg, key)
             if isinstance(val, tuple):
                 val = ",".join(val)
-            lines.append(f"{key} = {val}")
+            if val is not None:  # an absent key parses back to None
+                lines.append(f"{key} = {val}")
         lines.append("[summary]")
         lines.append(f"path_length = {next(iter(self.reports.values())).path_length:.17g}")
         for algo in cfg.algorithms:

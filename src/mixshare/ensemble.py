@@ -13,7 +13,9 @@ Every slot holds a mean and a covariance.  A squared-loss factor is one
 rank-one Gaussian tilt, so a quadratic round costs O(k d^2) and solves no
 system.  The logistic loss refits Laplace modes over the shared history
 by ``posterior.laplace_refit`` and stores the inverse Hessians; its mix
-factors come from ``posterior.log_logistic_mix_factors``.
+factors come from ``posterior.log_logistic_mix_factors``.  Both factor
+sources return finite logs for every finite point, so the weights are
+reweighted in log space with no floor.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ from .forecasters import GaussianMixture, ScalarGaussianMixture
 from .gaussian import logsumexp, tilt_rank_one
 from .posterior import laplace_refit, log_logistic_mix_factors
 
-# Mix factors are positive for finite losses; the floor only guards
-# log(0) from underflow on extremely unlucky streams.
-LOG_FACTOR_FLOOR = -700.0
 # Component slots allocated up front; the buffers double from here.
 _INITIAL_CAPACITY = 64
 
@@ -60,6 +59,9 @@ class FixedShareMixture:
         self.w0 = w0
         self.horizon = horizon
         self.mu = mu
+        # log(1 - mu) and log(mu); at mu = 1 the survivors drop to weight 0
+        with np.errstate(divide="ignore"):
+            self._log_keep, self._log_mu = np.log1p(-mu), np.log(mu)
         self.round = 1
         d = w0.size
         cap = min(horizon + 1, _INITIAL_CAPACITY)
@@ -94,8 +96,8 @@ class FixedShareMixture:
         self.round += 1
         if self.mu > 0.0:
             # normalize and scale survivors by (1 - mu) in one shift
-            log_w -= logsumexp(log_w) - np.log1p(-self.mu)
-            self._spawn(np.log(self.mu))
+            log_w -= logsumexp(log_w) - self._log_keep
+            self._spawn(self._log_mu)
         else:
             log_w -= logsumexp(log_w)
 
@@ -181,7 +183,7 @@ def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:
         means[:], hessians = laplace_refit(means, s.w0, X, y, s._births[:k] - 1, eta)
         covs[:] = np.linalg.inv(hessians)
         s.x_hist, s.y_hist = X, y
-    s.fixed_share(np.maximum(log_factors, LOG_FACTOR_FLOOR))
+    s.fixed_share(log_factors)
     return s
 
 

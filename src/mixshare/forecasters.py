@@ -3,10 +3,11 @@
 Every forecaster works on the 1-D mixture of the score w'x
 (``GaussianMixture.pushforward``).  The squared-loss forecaster, for the
 squared 1-D and least-squares families alike, evaluates the mix loss at
-the two label endpoints and clips.  The logistic forecaster inverts the
-sigmoid of the mixture-averaged success probability, which it takes from
-the one logistic quadrature, ``posterior.log_logistic_mix_factors``, as
-does the logistic mix loss.
+the two label endpoints and clips.  The logistic forecaster is the
+log-odds log P(+1) - log P(-1) of the two label probabilities, and the
+logistic mix loss is -log P(y); both take log P(y) from the one logistic
+quadrature, ``posterior.log_logistic_mix_factors``, so no probability is
+formed outside log space and none is clamped.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import numpy as np
 
 from .gaussian import log_sq_exp_integral, logsumexp
 from .posterior import log_logistic_mix_factors
-
-PROB_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,31 +83,22 @@ def predict_squared_1d(mix: ScalarGaussianMixture, B: float) -> float:
     return float(np.clip(z, -B, B))
 
 
-def mean_sigmoid(mix: ScalarGaussianMixture) -> float:
-    """sum_i p_i E_{z ~ N(mu_i, v_i)}[sigmoid(z)], in log-space.
+def mix_loss_logistic(mix: ScalarGaussianMixture, y: float) -> MixLossValue:
+    """-ln sum_i p_i E_i[exp(-logistic(z, y))] = -log P(y) on the score mixture.
 
-    sigmoid(z) = exp(-logistic(z, +1)), so each component's expectation
-    is its logistic mix factor at y = +1 and eta = 1.
+    Each component's expectation is its logistic mix factor at eta = 1.
+    The quadrature is linear and sigmoid(z) + sigmoid(-z) = 1 at every
+    node, so P(+1) + P(-1) = 1 to rounding and the mixability gap of
+    ``predict_logistic`` vanishes identically for Gaussian components.
     """
-    return float(np.exp(logsumexp(mix.log_w + log_logistic_mix_factors(mix.mu, mix.v, 1.0, 1.0))))
+    return MixLossValue(value=-float(logsumexp(mix.log_w + log_logistic_mix_factors(mix.mu, mix.v, y, 1.0))))
+
+
+def mean_sigmoid(mix: ScalarGaussianMixture) -> float:
+    """P(+1) = sum_i p_i E_{z ~ N(mu_i, v_i)}[sigmoid(z)]."""
+    return float(np.exp(-mix_loss_logistic(mix, 1.0).value))
 
 
 def predict_logistic(mix: ScalarGaussianMixture) -> float:
-    """Inverse sigmoid of the mixture-averaged probability sigma(z)."""
-    p = mean_sigmoid(mix)
-    p = float(np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))
-    return float(np.log(p / (1.0 - p)))
-
-
-def mix_loss_logistic(mix: ScalarGaussianMixture, y: float) -> MixLossValue:
-    """-ln sum_i p_i E_i[exp(-logistic(z, y))] on the score mixture.
-
-    Uses exp(-loss(z, +1)) = sigmoid(z) and exp(-loss(z, -1)) =
-    1 - sigmoid(z), sharing the quadrature values with the forecaster so
-    the mixability gap vanishes identically for Gaussian components.
-    """
-    p = mean_sigmoid(mix)
-    factor = p if y > 0 else 1.0 - p
-    factor = float(np.clip(factor, PROB_CLAMP, 1.0 - PROB_CLAMP))
-    return MixLossValue(value=-float(np.log(factor)))
-
+    """The log-odds log P(+1) - log P(-1) of the mixture's label probabilities."""
+    return mix_loss_logistic(mix, -1.0).value - mix_loss_logistic(mix, 1.0).value

@@ -59,10 +59,8 @@ class GaussianDist:
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
     def solve_cov(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve cov @ x = rhs through the Cholesky factor."""
-        from scipy.linalg import cho_solve
-
-        return cho_solve((self.chol, True), rhs)
+        """Solve cov @ x = rhs through the Cholesky factor: L y = rhs, then L' x = y."""
+        return np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, rhs))
 
     def log_density(self, u: np.ndarray) -> float:
         delta = np.asarray(u, dtype=float) - self.mean

@@ -152,14 +152,10 @@ def oco_round(s: OcoState, grad_oracle) -> tuple:
 def log_density(mix: GaussianMixture, points: np.ndarray) -> np.ndarray:
     """ln of the mixture density at each row of ``points``; vectorized."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    k, d = mix.means.shape
-    from scipy.linalg import solve_triangular
-
     chols = np.linalg.cholesky(mix.covs)
     log_dets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
-    maha = np.empty((k, points.shape[0]))
-    for i in range(k):
-        sol = solve_triangular(chols[i], (points - mix.means[i]).T, lower=True)
-        maha[i] = np.sum(sol * sol, axis=0)
-    comp_log = -0.5 * (d * LOG_2PI + log_dets[:, None] + maha)
+    # L_i^{-1} (points - m_i)' for every component i in one batched solve
+    sol = np.linalg.solve(chols, np.swapaxes(points[None, :, :] - mix.means[:, None, :], 1, 2))
+    maha = np.sum(sol * sol, axis=1)
+    comp_log = -0.5 * (points.shape[1] * LOG_2PI + log_dets[:, None] + maha)
     return logsumexp(mix.log_w[:, None] + comp_log, axis=0)

@@ -9,8 +9,8 @@ Newton refit: it refits a batch of learners, each over its own suffix of
 one shared history, so the ensemble refits all of its learners in one
 call.  ``log_logistic_mix_factors`` is the package's only Gauss-Hermite
 quadrature, on one fixed 64-node rule: it gives the per-round mix factors
-E_P[exp(-eta * loss)] consumed by the meta-learner and, at eta = 1 and
-y = +1, the mean sigmoid of the logistic forecaster.
+E_P[exp(-eta * loss)] consumed by the meta-learner and, at eta = 1, the
+log label probabilities of the logistic forecaster and mix loss.
 """
 
 from __future__ import annotations
@@ -125,9 +125,11 @@ def _laplace_value_grad_hess(modes, w0, X, y, mask, eta):
     sig = np.where(z >= 0, p, 1.0 - p)  # sigma(z)
     coeff = -y[:, None] * np.where(y[:, None] > 0, 1.0 - sig, sig)
     grads = delta + eta * (X.T @ (mask * coeff)).T
-    weights = mask * sig * (1.0 - sig)
-    Xw = X * np.sqrt(eta)
-    hess = np.eye(w0.size)[None, :, :] + np.einsum("ni,nk,nj->kij", Xw, weights, Xw)
+    # sum_n eta w_nk x_n x_n' for every learner k as one (k, n) @ (n, d*d) product
+    n, d = X.shape
+    weights = eta * mask * sig * (1.0 - sig)
+    outer = (X[:, :, None] * X[:, None, :]).reshape(n, d * d)
+    hess = np.eye(d) + (weights.T @ outer).reshape(-1, d, d)
     return values, grads, hess
 
 

@@ -78,13 +78,13 @@ def grid_fixed_share_round(
 
 def grid_mix_loss(p: GridDensity, y: float, spec: LossSpec) -> float:
     """-(1/eta) ln sum_j dz p_j exp(-eta loss(z_j, y)), in log-space."""
-    # scipy's log-sum-exp, so the oracle shares no code with the closed forms
-    from scipy.special import logsumexp
-
     losses = _loss_on_grid(p.grid, spec, DataPoint(np.ones(1), y))
     with np.errstate(divide="ignore"):
         log_terms = np.log(p.values * p.dz) - spec.eta * losses
-    return -float(logsumexp(log_terms[np.isfinite(log_terms)])) / spec.eta
+    # its own shift-and-sum log-sum-exp, so the oracle shares no code with the closed forms
+    log_terms = log_terms[np.isfinite(log_terms)]
+    shift = np.max(log_terms)
+    return -(shift + float(np.log(np.sum(np.exp(log_terms - shift))))) / spec.eta
 
 
 def grid_predict_squared(p: GridDensity, spec: LossSpec) -> float:

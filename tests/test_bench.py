@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mixshare import bench
-from mixshare.core import path_length
+from mixshare.core import dynamic_regret, path_length
 
 
 def test_parse_config_roundtrip():
@@ -22,6 +23,46 @@ def test_parse_config_roundtrip():
     assert cfg.drift == "piecewise:3"
     assert cfg.jump_norm == 0.25
     assert cfg.algorithms == ("fixed_share", "static_ew")
+
+
+@st.composite
+def _valid_configs(draw):
+    task = draw(st.sampled_from(bench.TASKS))
+    T = draw(st.integers(1, 10))
+    R, B, L = (draw(st.floats(1e-3, 1e3)) for _ in range(3))
+    noise_sd = draw(st.floats(0.0, 10.0))
+    assume(task not in ("squared1d", "least_squares") or noise_sd > 0.0 or R * L <= B)
+    drift = draw(
+        st.sampled_from(["stationary"])
+        | st.integers(0, T - 1).map(lambda k: f"piecewise:{k}")
+        | st.floats(-1e3, 1e3).map(lambda rate: f"rotating:{rate!r}")
+    )
+    names = ["oco"] if task == "oco_quadratic" else ["fixed_share", "static_ew"]
+    names += ["ogd_constant:0.5", "ogd_inverse_t"]
+    return bench.ExperimentConfig(
+        task=task,
+        d=1 if task == "squared1d" else draw(st.integers(1, 5)),
+        T=T,
+        B=B,
+        L=L,
+        R=R,
+        drift=drift,
+        jump_norm=draw(st.none() | st.floats(0.01, 2.0).map(lambda f: f * R)),
+        noise_sd=noise_sd,
+        seed=draw(st.integers(0, 2**63)),
+        algorithms=tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))),
+        output_dir=draw(st.none() | st.text("abxyz019_-./", min_size=1, max_size=12)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_valid_configs())
+def test_summary_config_block_reparses(cfg):
+    zeros = np.zeros(cfg.T)
+    reports = {algo: dynamic_regret(zeros, zeros) for algo in cfg.algorithms}
+    summary = bench.ExperimentResult(cfg, reports, {}, 0.0).summary_text()
+    block = summary.split("[config]\n", 1)[1].split("[summary]\n", 1)[0]
+    assert bench.parse_config(block) == cfg
 
 
 def test_parse_config_unknown_key_is_hard_error():

@@ -88,19 +88,22 @@ def test_run_exits_2_on_invalid_value(tmp_path, capsys):
 
 
 def test_entry_points_import_without_scipy_special():
-    # importing scipy.linalg takes a process's peak RSS from 27 MB to 55 MB
-    # (numpy 2.4, scipy 1.17), more than half of a whole short run's, so no
-    # task's run path may load it
+    # scipy is a test dependency only: importing scipy.linalg takes a
+    # process's peak RSS from 27 MB to 55 MB (numpy 2.4, scipy 1.17), more
+    # than half of a whole short run's, so neither a run of any task nor
+    # the verification suites may load any part of it
     src = str(pathlib.Path(mixshare.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "from mixshare import bench, cli\n"
         "for task, algo in [('squared1d', 'fixed_share'), ('least_squares', 'fixed_share'),\n"
         "                   ('logistic', 'fixed_share'), ('oco_quadratic', 'oco')]:\n"
         "    d = 1 if task == 'squared1d' else 2\n"
         "    bench.run_experiment(bench.ExperimentConfig(task=task, d=d, T=30, algorithms=(algo,)))\n"
-        "print(sorted(m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--suite', 'all']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -60,6 +60,18 @@ def test_weights_stay_normalized():
         assert np.all(s.weights > 0)
 
 
+def test_mu_one_keeps_only_the_newborn():
+    # mu = 1 (passed explicitly, or mu = 1/T at horizon 1) gives the
+    # survivors log(1 - mu) = -inf, without a divide-by-zero warning
+    s, _ = _squared_state(T=5, mu=1.0)
+    s = ensemble.observe(s, DataPoint(np.ones(1), 0.3))
+    o = oco.init_oco(DomainSpec(2, 1.0), 1, eta=0.25, G=2.0)
+    _, o = oco.oco_round(o, lambda w: w - 0.1)
+    for state in (s, o):
+        assert state.births == (1, 2)
+        assert np.array_equal(state.weights, [0.0, 1.0])
+
+
 def test_mu_zero_never_spawns():
     rng = np.random.default_rng(31)
     s, _ = _squared_state(T=30, mu=0.0)

@@ -114,6 +114,18 @@ def test_mean_sigmoid_accurate_in_the_tail():
         assert mean_sigmoid(mix) == pytest.approx(np.exp(mu + 0.5 * v), rel=1e-10)
 
 
+@pytest.mark.parametrize("mu, v", [(20.0, 1.0), (25.0, 0.3), (30.0, 1.0)])
+def test_logistic_forecast_and_mix_loss_accurate_in_the_tail(mu, v):
+    # log P(-1) = log E[sigmoid(-z)] = -mu + v/2 + O(exp(-mu + 3v/2)) and
+    # log P(+1) = O(exp(-mu + v/2)) for z ~ N(mu, v), so the log-odds and
+    # the y = -1 mix loss are both mu - v/2 to relative 1e-9; forming
+    # 1 - P(+1) there cancels all but a few digits
+    for sign in (1.0, -1.0):
+        mix = ScalarGaussianMixture.from_weights([1.0], [sign * mu], [v])
+        assert predict_logistic(mix) == pytest.approx(sign * (mu - 0.5 * v), rel=1e-9)
+        assert mix_loss_logistic(mix, -sign).value == pytest.approx(mu - 0.5 * v, rel=1e-9)
+
+
 def test_logistic_prediction_inverts_mean_probability():
     rng = np.random.default_rng(25)
     k, d = 3, 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixshare import ensemble, oco
 from mixshare.core import DimensionError, DomainSpec
@@ -230,6 +231,28 @@ def test_oco_round_matches_copy_and_concatenate_recursion(R):
     assert np.allclose(s.log_weights, log_w, rtol=1e-12, atol=0.0)
     assert np.allclose(s.means(), means, rtol=0.0, atol=1e-12)
     assert np.allclose(s.covs(), covs, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.floats(0.01, 3.0),
+    st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+    st.integers(1, 15),
+    st.integers(0, 10_000),
+)
+def test_oco_stays_in_off_centre_domain(d, R, center, T, seed):
+    # gradients w - c toward targets c in the ball: the prediction and every
+    # component mean stay inside it, and the mixture stays in M, every round
+    rng = np.random.default_rng(seed)
+    dom = DomainSpec(d, R, center=np.array(center[:d]))
+    s = oco.init_oco(dom, T, eta=1.0 / dom.diameter**2, G=2.0 * dom.R)
+    for _ in range(T):
+        c = dom.project(dom.center + 2.0 * R * rng.standard_normal(d))
+        w_t, s = oco.oco_round(s, lambda w: w - c)
+        assert dom.contains(w_t, tol=1e-9)
+        assert dom.contains(s.means(), tol=1e-9)
+        s.mixture.validate(dom)
 
 
 def test_oco_horizon_guard():
