@@ -60,8 +60,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be positive and finite, got {val}")
         if not 0 <= self.noise_sd < np.inf:
             raise ConfigError(f"noise_sd must be nonnegative and finite, got {self.noise_sd}")
-        if self.jump_norm is not None and self.jump_norm > 2.0 * self.R:
-            raise ConfigError(f"jump norm {self.jump_norm} exceeds the domain diameter {2 * self.R}")
+        if self.jump_norm is not None and self.jump_norm > self.R:
+            # a jump of at most R toward the centre stays in the ball from any of its points
+            raise ConfigError(f"jump norm {self.jump_norm} exceeds the domain radius {self.R}")
         if self.task == "squared1d" and self.d != 1:
             raise ConfigError("squared1d requires d = 1")
         kind, arg = _parse_drift(self.drift)
@@ -216,7 +217,8 @@ def _comparator_path(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
                     u = cand
                     break
             else:
-                raise ConfigError("could not place a feasible comparator jump")
+                # delta <= R, so the jump toward the centre lands inside the ball
+                u = u - delta * u / np.linalg.norm(u)
         us.append(u.copy())
     return us
 

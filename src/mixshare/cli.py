@@ -24,7 +24,7 @@ def _suite_gaussian(seed: int):
         b = rng.standard_normal((d, d))
         p = GaussianDist(rng.standard_normal(d), b @ b.T + np.eye(d))
         samples = q.sample(rng, 200_000)
-        mc_ent = -np.mean([q.log_density(s) for s in samples[:50_000]])
+        mc_ent = -np.mean(q.log_density(samples[:50_000]))
         checks.append(("entropy_mc", abs(mc_ent - entropy(q)) < 0.05 * max(1.0, abs(entropy(q)))))
         checks.append(("kl_nonneg", kl_divergence(q, p) >= -1e-12))
         checks.append(("kl_self_zero", abs(kl_divergence(q, q)) < 1e-10))

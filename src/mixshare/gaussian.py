@@ -62,10 +62,12 @@ class GaussianDist:
         """Solve cov @ x = rhs through the Cholesky factor: L y = rhs, then L' x = y."""
         return np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, rhs))
 
-    def log_density(self, u: np.ndarray) -> float:
+    def log_density(self, u: np.ndarray):
+        """ln density at the point ``u``, or at each row of an (n, d) stack."""
         delta = np.asarray(u, dtype=float) - self.mean
-        maha = float(delta @ self.solve_cov(delta))
-        return -0.5 * (self.d * LOG_2PI + self.log_det_cov + maha)
+        sol = np.linalg.solve(self.chol, delta.T)  # L^{-1} (u - mean)', one column per point
+        log_p = -0.5 * (self.d * LOG_2PI + self.log_det_cov + np.sum(sol * sol, axis=0))
+        return float(log_p) if delta.ndim == 1 else log_p
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         z = rng.standard_normal((n, self.d))

@@ -4,6 +4,9 @@ Each round predicts the mixture mean, builds the quadratic surrogate from
 the observed gradient, tilts every Gaussian component in closed form,
 repairs the mixture back into the constraint family (means inside the
 domain, covariance eigenvalues in [1/T, 1]), and mixes in the anchor.
+The repair is one batched ``eigh`` over the live components; the closing
+membership check tests the eigenvalue band with two batched Cholesky
+factorizations instead of a second eigendecomposition.
 The state is an ``ensemble.FixedShareMixture``, the same buffered mixture
 the ensemble uses: ``oco_round`` tilts and repairs its live components in
 place and closes the round with the shared fixed-share step, so no
@@ -64,17 +67,32 @@ class MixtureInM:
     horizon: int
 
     def validate(self, domain: DomainSpec, tol: float = 1e-10):
+        """Raise ``ConstraintViolationError`` unless the weights sum to 1, every
+        mean lies in the domain and every covariance is finite with its
+        eigenvalues in [1/T - tol, 1 + tol].
+
+        The band is two batched Cholesky factorizations, of cov - (1/T - tol) I
+        and of (1 + tol) I - cov: both succeed exactly when every eigenvalue
+        lies inside.  Like ``eigvalsh`` they read the lower triangle;
+        ``eigvalsh`` runs only to word the error.
+        """
         m = self.mixture
-        if abs(float(logsumexp(m.log_w))) > 1e-12:
+        if not abs(float(logsumexp(m.log_w))) <= 1e-12:  # NaN fails too
             raise ConstraintViolationError("component weights do not sum to 1")
         if not domain.contains(m.means, tol=tol):
             raise ConstraintViolationError("component mean outside the domain")
-        eigs = np.linalg.eigvalsh(m.covs)
+        if not np.isfinite(m.covs).all():  # cholesky returns NaN factors without raising
+            raise ConstraintViolationError("covariance is not finite")
         lo, hi = 1.0 / self.horizon, 1.0
-        if np.min(eigs) < lo - tol or np.max(eigs) > hi + tol:
+        eye = np.eye(m.covs.shape[-1])
+        try:
+            np.linalg.cholesky(m.covs - (lo - tol) * eye)
+            np.linalg.cholesky((hi + tol) * eye - m.covs)
+        except np.linalg.LinAlgError:
+            eigs = np.linalg.eigvalsh(m.covs)
             raise ConstraintViolationError(
                 f"covariance eigenvalues [{np.min(eigs)}, {np.max(eigs)}] outside [{lo}, {hi}]"
-            )
+            ) from None
 
 
 class OcoState(FixedShareMixture):
@@ -121,7 +139,7 @@ def approx_project_to_M(mix: GaussianMixture, domain: DomainSpec, T: int) -> Mix
     means = domain.project(mix.means)
     eigvals, eigvecs = np.linalg.eigh(mix.covs)
     eigvals = np.clip(eigvals, 1.0 / T, 1.0)
-    covs = np.einsum("kij,kj,klj->kil", eigvecs, eigvals, eigvecs)
+    covs = (eigvecs * eigvals[:, None, :]) @ np.swapaxes(eigvecs, 1, 2)
     return MixtureInM(GaussianMixture(mix.log_w, means, 0.5 * (covs + np.swapaxes(covs, 1, 2))), T)
 
 

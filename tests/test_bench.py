@@ -47,7 +47,7 @@ def _valid_configs(draw):
         L=L,
         R=R,
         drift=drift,
-        jump_norm=draw(st.none() | st.floats(0.01, 2.0).map(lambda f: f * R)),
+        jump_norm=draw(st.none() | st.floats(0.01, 1.0).map(lambda f: f * R)),
         noise_sd=noise_sd,
         seed=draw(st.integers(0, 2**63)),
         algorithms=tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))),
@@ -116,6 +116,8 @@ def test_config_validation():
         "L = -1",
         "R = -1",
         "jump_norm = 0",
+        "jump_norm = 0.75",
+        "jump_norm = 1",
         "jump_norm = 3",
         "noise_sd = -1",
         "noise_sd = nan",
@@ -147,6 +149,18 @@ def test_piecewise_path_length_is_k_delta():
     bundle = bench.generate_stream(cfg)
     assert bundle.path_length == pytest.approx(5 * 0.3)
     assert bundle.path_length == pytest.approx(path_length(bundle.comparators))
+
+
+def test_jump_of_radius_is_placed_in_high_dimension():
+    # at d = 200 a random direction from near the sphere almost never keeps a
+    # jump of norm R inside; the jump toward the centre always does
+    cfg = bench.ExperimentConfig(
+        task="least_squares", d=200, T=30, B=30.0, R=1.0, drift="piecewise:10", jump_norm=1.0, seed=0
+    )
+    us = np.array(bench.generate_stream(cfg).comparators.u)
+    steps = np.linalg.norm(np.diff(us, axis=0), axis=1)
+    assert np.allclose(steps[steps > 0.0], 1.0, rtol=1e-12) and np.count_nonzero(steps) == 10
+    assert cfg.domain().contains(us, tol=1e-12)
 
 
 def test_comparators_stay_in_domain():

@@ -83,6 +83,16 @@ def test_log_density_matches_scipy():
     assert g.log_density(u) == pytest.approx(multivariate_normal.logpdf(u, mean, cov))
 
 
+def test_log_density_stack_matches_rows():
+    rng = np.random.default_rng(4)
+    for d in (1, 2, 4):
+        g = GaussianDist(rng.standard_normal(d), _random_spd(rng, d))
+        us = 2.0 * rng.standard_normal((300, d))
+        stacked = g.log_density(us)
+        assert stacked.shape == (300,)
+        assert np.allclose(stacked, [g.log_density(u) for u in us], rtol=0.0, atol=1e-12)
+
+
 def test_sample_moments():
     rng = np.random.default_rng(3)
     mean = np.array([1.0, -2.0])

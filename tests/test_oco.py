@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from mixshare import ensemble, oco
+from mixshare import bench, ensemble, oco
 from mixshare.core import DimensionError, DomainSpec
 from mixshare.forecasters import GaussianMixture
 from mixshare.gaussian import LOG_2PI, logsumexp, tilt_rank_one
@@ -173,6 +173,113 @@ def test_validate_rejects_one_bad_component_among_many():
     ):
         with pytest.raises(oco.ConstraintViolationError):
             oco.MixtureInM(mix, horizon=10).validate(dom)
+
+
+@pytest.mark.parametrize(
+    "d, field, entries",
+    [(2, "log_w", [(0,)]), (1, "covs", [(0, 0, 0)]), (2, "covs", [(0, 0, 1), (0, 1, 0)])],
+    ids=["weight", "cov_diagonal", "cov_off_diagonal"],
+)
+def test_validate_rejects_nan(d, field, entries):
+    # every comparison with NaN is False, so a test written as "reject when
+    # out of range" lets each of these through
+    dom = DomainSpec(d, 1.0)
+    mix = _single_component(np.zeros(d), 0.5 * np.eye(d))
+    for entry in entries:
+        getattr(mix, field)[entry] = np.nan
+    with pytest.raises(oco.ConstraintViolationError):
+        oco.MixtureInM(mix, horizon=10).validate(dom)
+
+
+def _rotated_covs(eigs, seed):
+    """Stack of Q diag(eigs[i]) Q' with random orthogonal Q."""
+    rng = np.random.default_rng(seed)
+    eigs = np.asarray(eigs, dtype=float)
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigs), eigs.shape[1], eigs.shape[1])))
+    covs = (q * eigs[:, None, :]) @ np.swapaxes(q, 1, 2)
+    return 0.5 * (covs + np.swapaxes(covs, 1, 2))
+
+
+def _eigvalsh_band_verdict(covs, T, tol):
+    """The band test as an eigendecomposition: every eigenvalue in [1/T - tol, 1 + tol]."""
+    eigs = np.linalg.eigvalsh(covs)
+    return bool(np.min(eigs) >= 1.0 / T - tol and np.max(eigs) <= 1.0 + tol)
+
+
+def _validate_verdict(covs, T, tol):
+    k, d = covs.shape[:2]
+    mix = GaussianMixture(np.full(k, -np.log(k)), np.zeros((k, d)), covs)
+    try:
+        oco.MixtureInM(mix, horizon=T).validate(DomainSpec(d, 1.0), tol=tol)
+    except oco.ConstraintViolationError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "eigs, accept",
+    [
+        ((0.1 - 2e-10, 0.5, 1.0), False),
+        ((0.1, 0.5, 1.0 + 2e-10), False),
+        ((0.1 - 5e-11, 0.5, 1.0), True),
+        ((0.1, 0.5, 1.0 + 5e-11), True),
+    ],
+    ids=["below_lo_by_2tol", "above_hi_by_2tol", "below_lo_by_half_tol", "above_hi_by_half_tol"],
+)
+def test_validate_band_edges(eigs, accept):
+    # T = 10, tol = 1e-10: the band is [0.1 - tol, 1 + tol]; the Cholesky
+    # pair and eigvalsh give the same verdict on either side of each edge
+    covs = _rotated_covs([eigs, (0.3, 0.4, 0.5)], seed=50)
+    assert _eigvalsh_band_verdict(covs, 10, 1e-10) == accept
+    assert _validate_verdict(covs, 10, 1e-10) == accept
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(2, 50),
+    st.lists(st.floats(1e-3, 1.5), min_size=1, max_size=24),
+    st.integers(0, 2**32 - 1),
+)
+def test_validate_band_matches_eigvalsh(d, T, values, seed):
+    # random SPD stacks whose extreme eigenvalues sit at least 1e-9 from an
+    # edge of the band, so rounding cannot decide the verdict
+    tol = 1e-10
+    k = max(1, len(values) // d)
+    eigs = np.resize(np.asarray(values), (k, d))
+    covs = _rotated_covs(eigs, seed)
+    extremes = np.linalg.eigvalsh(covs)[:, [0, -1]]
+    assume(np.min(np.abs(extremes[..., None] - [1.0 / T - tol, 1.0 + tol])) >= 1e-9)
+    assert _validate_verdict(covs, T, tol) == _eigvalsh_band_verdict(covs, T, tol)
+
+
+def test_oco_run_needs_one_eigh_per_round_and_no_eigvalsh(monkeypatch):
+    # an oco_d3-shaped run: the band check never falls back to eigvalsh, and
+    # the repair is the round's only eigendecomposition
+    cfg = bench.ExperimentConfig(
+        task="oco_quadratic", d=3, T=40, R=1.0, noise_sd=0.3, drift="rotating:0.01", algorithms=("oco",)
+    )
+    want = bench.run_experiment(cfg).reports["oco"].learner_loss
+    calls = {"eigh": 0, "repair": 0}
+    eigh, repair = np.linalg.eigh, oco.approx_project_to_M
+
+    def counting_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counting_repair(*args, **kwargs):
+        calls["repair"] += 1
+        return repair(*args, **kwargs)
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a valid mixture")
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    monkeypatch.setattr(oco, "approx_project_to_M", counting_repair)
+    got = bench.run_experiment(cfg).reports["oco"].learner_loss
+    assert calls == {"eigh": cfg.T, "repair": cfg.T}
+    assert np.array_equal(got, want)
 
 
 def test_oco_round_preserves_membership():
