@@ -24,7 +24,6 @@ from .core import (
     LossSpec,
     RegretReport,
     dynamic_regret,
-    logistic_loss,
     path_length,
 )
 
@@ -265,20 +264,14 @@ def generate_stream(cfg: ExperimentConfig) -> StreamBundle:
 # per-algorithm run loops
 
 
-def _pred_loss(kind: LossKind, z: float, y: float) -> float:
-    if kind == LossKind.LOGISTIC:
-        return logistic_loss(z, y)
-    return (z - y) ** 2
-
-
 def _comparator_losses(cfg: ExperimentConfig, bundle: StreamBundle) -> np.ndarray:
-    kind = None if cfg.task == "oco_quadratic" else cfg.loss_spec().kind
+    spec = None if cfg.task == "oco_quadratic" else cfg.loss_spec()
     out = np.empty(cfg.T)
     for t, (pt, u) in enumerate(zip(bundle.points, bundle.comparators.u)):
         if cfg.task == "oco_quadratic":
             out[t] = 0.5 * float(np.sum((u - bundle.centers[t]) ** 2))
         else:
-            out[t] = _pred_loss(kind, float(u @ pt.x), pt.y)
+            out[t] = spec.loss(float(u @ pt.x), pt.y)
     return out
 
 
@@ -294,7 +287,7 @@ def _run_ensemble(cfg: ExperimentConfig, bundle: StreamBundle, mu: float | None)
             z = forecasters.predict_logistic(smix)
         else:
             z = forecasters.predict_squared_1d(smix, cfg.B)
-        losses[t] = _pred_loss(spec.kind, z, pt.y)
+        losses[t] = spec.loss(z, pt.y)
         if t < cfg.T - 1:
             state = ensemble.observe(state, pt)
         nanos[t] = time.perf_counter_ns() - tic
@@ -314,13 +307,13 @@ def _run_ogd(cfg: ExperimentConfig, bundle: StreamBundle, schedule, step_param: 
             g = state.w - c
         elif spec.kind == LossKind.LOGISTIC:
             z = float(state.w @ pt.x)
-            losses[t] = logistic_loss(z, pt.y)
+            losses[t] = spec.loss(z, pt.y)
             sig = 1.0 / (1.0 + np.exp(pt.y * z))
             g = -pt.y * sig * pt.x
         else:
             score = float(state.w @ pt.x)
             z = float(np.clip(score, -cfg.B, cfg.B))
-            losses[t] = (z - pt.y) ** 2
+            losses[t] = spec.loss(z, pt.y)
             g = 2.0 * (score - pt.y) * pt.x
         state = baselines.ogd_step(state, g)
         nanos[t] = time.perf_counter_ns() - tic
@@ -439,19 +432,24 @@ def sweep(cfg: ExperimentConfig, axis: str, values, algorithm: str = "fixed_shar
     axis = 'T': rerun with each horizon in ``values``.
     axis = 'P': fixed T; realize each target path length with 16 switches
     of jump P/16.  Returns (rows, fitted log-log slope of regret against
-    the axis variable).
+    the axis variable).  Every value is checked before the first run.
     """
-    rows = []
+    if axis not in ("T", "P"):
+        raise ConfigError("axis must be 'T' or 'P'")
+    if len(set(values)) < 2:
+        raise ConfigError(f"a slope needs at least two distinct axis values, got {list(values)}")
+    run_cfgs = []
     for val in values:
         if axis == "T":
-            run_cfg = replace(cfg, T=int(val))
-        elif axis == "P":
-            k = 16
-            run_cfg = replace(cfg, drift=f"piecewise:{k}", jump_norm=float(val) / k)
+            if not float(val).is_integer():  # NaN and inf fail too
+                raise ConfigError(f"horizon T must be an integer, got {val}")
+            changes = {"T": int(val)}
         else:
-            raise ConfigError("axis must be 'T' or 'P'")
-        result = run_experiment(replace(run_cfg, algorithms=(algorithm,), output_dir=None))
-        rep = result.reports[algorithm]
+            changes = {"drift": "piecewise:16", "jump_norm": float(val) / 16}
+        run_cfgs.append(replace(cfg, algorithms=(algorithm,), output_dir=None, **changes))
+    rows = []
+    for run_cfg in run_cfgs:
+        rep = run_experiment(run_cfg).reports[algorithm]
         rows.append(SweepRow(run_cfg.T, rep.path_length, float(rep.cum_dynamic_regret[-1])))
     xs = np.log([r.T if axis == "T" else max(r.path_length, 1e-12) for r in rows])
     ys = np.log([max(r.final_regret, 1e-12) for r in rows])

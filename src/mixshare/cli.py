@@ -51,21 +51,20 @@ def _suite_posterior(seed: int):
 
 
 def _suite_ensemble(seed: int):
-    rng = np.random.default_rng(seed)
-    spec = LossSpec.squared_1d(B=1.0)
-    domain = DomainSpec(1, 1.0)
-    T = 20
-    state = ensemble.init(spec, domain, T)
-    anchor = verification.gaussian_grid(0.0, 1.0)
-    grid = verification.gaussian_grid(0.0, 1.0)
-    checks = []
-    for t in range(T - 1):
-        pt = DataPoint(np.ones(1), float(np.clip(0.5 + 0.3 * rng.standard_normal(), -1, 1)))
-        z_ens = forecasters.predict_squared_1d(ensemble.pushforward_mixture(state, pt.x), spec.B)
-        z_grid = verification.grid_predict_squared(grid, spec)
-        checks.append((f"equivalence_round_{t + 1}", abs(z_ens - z_grid) < 1e-3))
-        state = ensemble.observe(state, pt)
-        grid = verification.grid_fixed_share_round(grid, pt, spec, state.mu, anchor)
+    # B = 0.5 and 2 move the rate 1/(2B^2) off 1/2, so a wrongly scaled rate shows
+    checks, T = [], 20
+    for B in (1.0, 0.5, 2.0):
+        rng = np.random.default_rng(seed)
+        spec = LossSpec.squared_1d(B=B)
+        state = ensemble.init(spec, DomainSpec(1, 1.0), T)
+        anchor = grid = verification.gaussian_grid(0.0, 1.0)
+        for t in range(T - 1):
+            pt = DataPoint(np.ones(1), B * float(np.clip(0.5 + 0.3 * rng.standard_normal(), -1, 1)))
+            z_ens = forecasters.predict_squared_1d(ensemble.pushforward_mixture(state, pt.x), B)
+            z_grid = verification.grid_predict_squared(grid, spec)
+            checks.append((f"equivalence_B{B:g}_round_{t + 1}", abs(z_ens - z_grid) < 1e-3))
+            state = ensemble.observe(state, pt)
+            grid = verification.grid_fixed_share_round(grid, pt, spec, state.mu, anchor)
     return checks
 
 
@@ -165,7 +164,10 @@ def main(argv=None) -> int:
             return 0
 
         if args.values is not None:
-            values = [float(v) for v in args.values.split(",")]
+            try:
+                values = [float(v) for v in args.values.split(",")]
+            except ValueError:
+                raise bench.ConfigError(f"--values must be comma-separated numbers, got {args.values!r}") from None
         else:
             values = [500, 1000, 2000] if args.axis == "T" else [1.0, 4.0, 16.0]
         rows, slope = bench.sweep(cfg, args.axis, values)

@@ -1,7 +1,8 @@
 """Loss families, domains, data records, and regret accounting.
 
 Everything here is an immutable value object; the operations are pure
-functions shared by all learners and the benchmark harness.
+functions shared by all learners and the benchmark harness.  A
+``LossSpec`` fixes its family's learning rate, admissible labels and loss.
 """
 
 from __future__ import annotations
@@ -28,33 +29,49 @@ class DimensionError(ValueError):
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A loss family together with its mixability/exp-concavity coefficient.
+    """A loss family; its kind and label bound fix its rate, labels and loss.
 
-    ``eta`` defaults to 1/(2 B^2) for the squared family and 1 for the
-    logistic loss.
+    Every closed form is derived at the family's mixability constant, so
+    ``eta`` is not settable: 1/(2 B^2) for the squared kinds on labels in
+    [-B, B], and 1 for the logistic loss on labels in {-1, +1}.
     """
 
     kind: LossKind
-    eta: float
     B: float = 1.0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.B <= 0:
-            raise ValueError(f"B must be positive, got {self.B}")
+        if not 0 < self.B < np.inf:  # NaN fails too
+            raise ValueError(f"B must be positive and finite, got {self.B}")
 
     @staticmethod
-    def squared_1d(B: float = 1.0, eta: float | None = None) -> "LossSpec":
-        return LossSpec(LossKind.SQUARED_1D, eta if eta is not None else 1.0 / (2.0 * B * B), B=B)
+    def squared_1d(B: float = 1.0) -> "LossSpec":
+        return LossSpec(LossKind.SQUARED_1D, B)
 
     @staticmethod
-    def least_squares(B: float = 1.0, eta: float | None = None) -> "LossSpec":
-        return LossSpec(LossKind.LEAST_SQUARES, eta if eta is not None else 1.0 / (2.0 * B * B), B=B)
+    def least_squares(B: float = 1.0) -> "LossSpec":
+        return LossSpec(LossKind.LEAST_SQUARES, B)
 
     @staticmethod
-    def logistic(eta: float = 1.0) -> "LossSpec":
-        return LossSpec(LossKind.LOGISTIC, eta)
+    def logistic() -> "LossSpec":
+        return LossSpec(LossKind.LOGISTIC)
+
+    @property
+    def eta(self) -> float:
+        return 1.0 if self.kind == LossKind.LOGISTIC else 1.0 / (2.0 * self.B * self.B)
+
+    def check_label(self, y: float):
+        """Raise ``LabelRangeError`` unless y is an admissible label."""
+        if self.kind == LossKind.LOGISTIC:
+            if y not in (-1.0, 1.0):
+                raise LabelRangeError(f"logistic labels must be +/-1, got {y}")
+        elif not abs(y) <= self.B:  # NaN fails too
+            raise LabelRangeError(f"|y| = {abs(y)} exceeds label bound B = {self.B}")
+
+    def loss(self, z: float, y: float) -> float:
+        """The family's loss of the score z on label y, unchecked."""
+        if self.kind == LossKind.LOGISTIC:
+            return logistic_loss(z, y)
+        return (z - y) ** 2
 
 
 @dataclass(frozen=True)
@@ -68,8 +85,8 @@ class DomainSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be positive")
-        if self.R <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.R < np.inf:  # NaN fails too
+            raise ValueError(f"radius must be positive and finite, got {self.R}")
         c = self.center if self.center is not None else np.zeros(self.d)
         c = np.asarray(c, dtype=float)
         if c.shape != (self.d,):
@@ -134,25 +151,10 @@ class RegretReport:
     path_length: float = 0.0
 
 
-def loss_eval(spec: LossSpec, prediction, point: DataPoint) -> float:
-    """Evaluate the loss of a prediction on a data point.
-
-    ``prediction`` is a scalar z for the 1-D squared and logistic losses,
-    and a weight vector for least-squares (evaluated as (w'x - y)^2).
-    """
-    y = point.y
-    if spec.kind in (LossKind.SQUARED_1D, LossKind.LEAST_SQUARES):
-        if abs(y) > spec.B:
-            raise LabelRangeError(f"|y| = {abs(y)} exceeds label bound B = {spec.B}")
-    if spec.kind == LossKind.SQUARED_1D:
-        z = float(prediction)
-        return (z - y) ** 2
-    if spec.kind == LossKind.LEAST_SQUARES:
-        w = np.asarray(prediction, dtype=float)
-        if w.shape != point.x.shape:
-            raise DimensionError(f"weight shape {w.shape} vs feature shape {point.x.shape}")
-        return float(w @ point.x - y) ** 2
-    return logistic_loss(float(prediction), y)
+def loss_eval(spec: LossSpec, z: float, point: DataPoint) -> float:
+    """The loss of the score z on a data point whose label is checked first."""
+    spec.check_label(point.y)
+    return spec.loss(float(z), point.y)
 
 
 def logistic_loss(z, y):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DataPoint, DimensionError, DomainSpec, LabelRangeError, LossKind, LossSpec
+from .core import DataPoint, DimensionError, DomainSpec, LossKind, LossSpec
 from .forecasters import GaussianMixture, ScalarGaussianMixture
 from .gaussian import logsumexp, tilt_rank_one
 from .posterior import laplace_refit, log_logistic_mix_factors
@@ -165,22 +165,17 @@ def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:
         raise HorizonExceededError(f"round {s.round} reached horizon {s.horizon}")
     if point.x.shape != s.w0.shape:
         raise DimensionError(f"feature shape {point.x.shape}, expected {s.w0.shape}")
+    s.loss_spec.check_label(point.y)
     k = s.n_learners
     means, covs = s._means[:k], s._covs[:k]
     if s.quadratic:
-        B = s.loss_spec.B
-        if abs(point.y) > B:
-            raise LabelRangeError(f"|y| = {abs(point.y)} exceeds label bound B = {B}")
-        # exp(-(x'w - y)^2 / (2 B^2)) is the tilt with a = 1/(2B^2), b = 0, c = y
-        log_factors = tilt_rank_one(means, covs, point.x, 0.5 / (B * B), 0.0, point.y)
+        # exp(-eta (x'w - y)^2) is the tilt with a = eta, b = 0, c = y
+        log_factors = tilt_rank_one(means, covs, point.x, s.loss_spec.eta, 0.0, point.y)
     else:
-        if point.y not in (-1.0, 1.0):
-            raise LabelRangeError(f"logistic labels must be +/-1, got {point.y}")
-        eta = s.loss_spec.eta
         pf = pushforward_mixture(s, point.x)
-        log_factors = log_logistic_mix_factors(pf.mu, pf.v, point.y, eta)
+        log_factors = log_logistic_mix_factors(pf.mu, pf.v, point.y)
         X, y = np.vstack([s.x_hist, point.x]), np.append(s.y_hist, point.y)
-        means[:], hessians = laplace_refit(means, s.w0, X, y, s._births[:k] - 1, eta)
+        means[:], hessians = laplace_refit(means, s.w0, X, y, s._births[:k] - 1)
         covs[:] = np.linalg.inv(hessians)
         s.x_hist, s.y_hist = X, y
     s.fixed_share(log_factors)

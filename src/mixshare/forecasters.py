@@ -86,12 +86,12 @@ def predict_squared_1d(mix: ScalarGaussianMixture, B: float) -> float:
 def mix_loss_logistic(mix: ScalarGaussianMixture, y: float) -> MixLossValue:
     """-ln sum_i p_i E_i[exp(-logistic(z, y))] = -log P(y) on the score mixture.
 
-    Each component's expectation is its logistic mix factor at eta = 1.
+    Each component's expectation is its logistic mix factor.
     The quadrature is linear and sigmoid(z) + sigmoid(-z) = 1 at every
     node, so P(+1) + P(-1) = 1 to rounding and the mixability gap of
     ``predict_logistic`` vanishes identically for Gaussian components.
     """
-    return MixLossValue(value=-float(logsumexp(mix.log_w + log_logistic_mix_factors(mix.mu, mix.v, y, 1.0))))
+    return MixLossValue(value=-float(logsumexp(mix.log_w + log_logistic_mix_factors(mix.mu, mix.v, y))))
 
 
 def mean_sigmoid(mix: ScalarGaussianMixture) -> float:

@@ -113,6 +113,8 @@ class OcoState(FixedShareMixture):
 def init_oco(domain: DomainSpec, horizon: int, eta: float, G: float) -> OcoState:
     """Anchor mixture N(w0, I_d); gamma = min{1/(8GD), eta/2} satisfies every
     stated condition on the surrogate coefficient simultaneously."""
+    if not (0 < eta < np.inf and 0 < G < np.inf):  # NaN fails too
+        raise ValueError(f"eta and G must be positive and finite, got eta = {eta}, G = {G}")
     gamma = min(1.0 / (8.0 * G * domain.diameter), eta / 2.0)
     return OcoState(domain, horizon, gamma, G)
 

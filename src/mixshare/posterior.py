@@ -9,8 +9,10 @@ Newton refit: it refits a batch of learners, each over its own suffix of
 one shared history, so the ensemble refits all of its learners in one
 call.  ``log_logistic_mix_factors`` is the package's only Gauss-Hermite
 quadrature, on one fixed 64-node rule: it gives the per-round mix factors
-E_P[exp(-eta * loss)] consumed by the meta-learner and, at eta = 1, the
-log label probabilities of the logistic forecaster and mix loss.
+E_P[exp(-loss)] consumed by the meta-learner, which are also the log label
+probabilities of the logistic forecaster and mix loss.  The logistic
+family's learning rate is fixed at 1 (``core.LossSpec``), so no function
+here takes a rate.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ class QuadraticPosterior:
     precision: np.ndarray
     shift: np.ndarray
     birth_round: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "precision", np.atleast_2d(np.asarray(self.precision, dtype=float)))
-        object.__setattr__(self, "shift", np.atleast_1d(np.asarray(self.shift, dtype=float)))
 
     @staticmethod
     def from_anchor(w0: np.ndarray, birth_round: int = 1) -> "QuadraticPosterior":
@@ -111,29 +109,29 @@ MAX_NEWTON_ITER = 50
 MAX_HALVINGS = 40
 
 
-def _laplace_value_grad_hess(modes, w0, X, y, mask, eta):
+def _laplace_value_grad_hess(modes, w0, X, y, mask):
     """F_j, its gradient and its Hessian at ``modes[j]`` for every learner j.
 
-    F_j(w) = ||w - w0||^2 / 2 + eta * sum of logistic losses over the rows
+    F_j(w) = ||w - w0||^2 / 2 + the sum of logistic losses over the rows
     of (X, y) where ``mask[:, j]`` is 1.
     """
     delta = modes - w0[None, :]
     z = X @ modes.T  # (n, k)
     losses = np.logaddexp(0.0, -y[:, None] * z)
-    values = 0.5 * np.sum(delta * delta, axis=1) + eta * np.sum(mask * losses, axis=0)
+    values = 0.5 * np.sum(delta * delta, axis=1) + np.sum(mask * losses, axis=0)
     p = 1.0 / (1.0 + np.exp(-np.abs(z)))
     sig = np.where(z >= 0, p, 1.0 - p)  # sigma(z)
     coeff = -y[:, None] * np.where(y[:, None] > 0, 1.0 - sig, sig)
-    grads = delta + eta * (X.T @ (mask * coeff)).T
-    # sum_n eta w_nk x_n x_n' for every learner k as one (k, n) @ (n, d*d) product
+    grads = delta + (X.T @ (mask * coeff)).T
+    # sum_n w_nk x_n x_n' for every learner k as one (k, n) @ (n, d*d) product
     n, d = X.shape
-    weights = eta * mask * sig * (1.0 - sig)
+    weights = mask * sig * (1.0 - sig)
     outer = (X[:, :, None] * X[:, None, :]).reshape(n, d * d)
     hess = np.eye(d) + (weights.T @ outer).reshape(-1, d, d)
     return values, grads, hess
 
 
-def laplace_refit(modes, w0, X, y, starts, eta):
+def laplace_refit(modes, w0, X, y, starts):
     """Refit every Laplace mode by batched, warm-started damped Newton.
 
     Learner j minimizes F_j over the history rows ``starts[j]:`` of the
@@ -143,7 +141,7 @@ def laplace_refit(modes, w0, X, y, starts, eta):
     line search finds no decrease or the gradient tolerance is not met.
     """
     mask = (np.arange(X.shape[0])[:, None] >= np.asarray(starts)[None, :]).astype(float)  # (n, k)
-    f_val, grads, hess = _laplace_value_grad_hess(modes, w0, X, y, mask, eta)
+    f_val, grads, hess = _laplace_value_grad_hess(modes, w0, X, y, mask)
     for _ in range(MAX_NEWTON_ITER):
         if np.max(np.linalg.norm(grads, axis=1)) <= GRAD_TOL:
             return modes, hess
@@ -155,7 +153,7 @@ def laplace_refit(modes, w0, X, y, starts, eta):
         alpha = np.ones(len(modes))
         for _ in range(MAX_HALVINGS):
             trial = modes - alpha[:, None] * steps
-            f_new, g_new, h_new = _laplace_value_grad_hess(trial, w0, X, y, mask, eta)
+            f_new, g_new, h_new = _laplace_value_grad_hess(trial, w0, X, y, mask)
             bad = f_new > f_val + slack
             if not np.any(bad):
                 break
@@ -173,12 +171,12 @@ def laplace_refit(modes, w0, X, y, starts, eta):
     )
 
 
-def log_logistic_mix_factors(mu, v, y: float, eta: float) -> np.ndarray:
-    """log E[exp(-eta * logistic(z, y))] for z ~ N(mu_i, v_i), for every i.
+def log_logistic_mix_factors(mu, v, y: float) -> np.ndarray:
+    """log E[exp(-logistic(z, y))] for z ~ N(mu_i, v_i), for every i.
 
     64-node Gauss-Hermite quadrature in log-space; capped at 0 since the
     loss is nonnegative.
     """
     z = mu[:, None] + np.sqrt(2.0 * v)[:, None] * _GH_NODES[None, :]
-    log_vals = -eta * np.logaddexp(0.0, -y * z)
+    log_vals = -np.logaddexp(0.0, -y * z)
     return np.minimum(logsumexp(log_vals, b=_GH_WEIGHTS[None, :] / np.sqrt(np.pi), axis=1), 0.0)

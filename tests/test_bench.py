@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -249,3 +251,12 @@ def test_sweep_rows_and_slope():
     assert np.isfinite(slope)
     with pytest.raises(bench.ConfigError):
         bench.sweep(cfg, "X", [1, 2])
+
+
+@pytest.mark.parametrize("axis, values", [("T", [50, 20.7]), ("T", [50, np.nan]), ("T", [50]), ("P", [1.0, 1.0])])
+def test_sweep_rejects_bad_values_before_running(axis, values):
+    cfg = bench.ExperimentConfig(task="squared1d", T=100, B=1.0, R=1.0, noise_sd=0.1, seed=10)
+    with mock.patch.object(bench, "run_experiment") as run:
+        with pytest.raises(bench.ConfigError):
+            bench.sweep(cfg, axis, values)
+    run.assert_not_called()

@@ -69,6 +69,20 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert "fitted_loglog_slope" in out
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ("20,abc", "--values must be comma-separated numbers, got '20,abc'"),
+        ("30,20.7", "horizon T must be an integer, got 20.7"),
+    ],
+)
+def test_sweep_rejects_bad_values(tmp_path, capsys, values, message):
+    assert cli.main(["sweep", "--config", _write_config(tmp_path), "--axis", "T", "--values", values]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"mixshare: config error: {message}\n"
+
+
 def test_run_rejects_bad_config(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("task = squared1d\nunknown_key = 5\n")

@@ -4,7 +4,6 @@ import pytest
 from mixshare.core import (
     ComparatorSequence,
     DataPoint,
-    DimensionError,
     DomainSpec,
     LabelRangeError,
     LossKind,
@@ -30,7 +29,29 @@ def test_spec_rejects_bad_parameters():
     with pytest.raises(ValueError):
         LossSpec.squared_1d(B=-1.0)
     with pytest.raises(ValueError):
-        LossSpec(LossKind.SQUARED_1D, eta=0.0)
+        LossSpec.squared_1d(B=np.nan)
+    with pytest.raises(ValueError):
+        LossSpec.least_squares(B=np.inf)
+
+
+@pytest.mark.parametrize("make", [LossSpec.squared_1d, LossSpec.least_squares, LossSpec.logistic])
+def test_spec_rate_is_not_settable(make):
+    # every closed form assumes the family's own rate, so none can be passed
+    with pytest.raises(TypeError):
+        make(eta=0.05)
+    with pytest.raises(AttributeError):
+        make().eta = 0.05
+
+
+def test_spec_check_label_and_loss():
+    sq, lg = LossSpec.squared_1d(B=2.0), LossSpec.logistic()
+    sq.check_label(-2.0)
+    lg.check_label(-1.0)
+    for spec, y in ((sq, 2.5), (lg, 0.5), (lg, 0.0)):
+        with pytest.raises(LabelRangeError):
+            spec.check_label(y)
+    assert sq.loss(0.5, 2.0) == 2.25
+    assert lg.loss(0.0, -1.0) == pytest.approx(np.log(2.0))
 
 
 def test_loss_eval_squared():
@@ -45,10 +66,15 @@ def test_loss_eval_label_range():
         loss_eval(spec, 0.0, DataPoint(np.ones(1), 1.5))
 
 
-def test_loss_eval_least_squares_dimension():
+def test_loss_eval_least_squares_score_and_logistic_labels():
+    # least-squares is evaluated on the score w'x, like every other family
     spec = LossSpec.least_squares(B=1.0)
-    with pytest.raises(DimensionError):
-        loss_eval(spec, np.zeros(3), DataPoint(np.zeros(2), 0.0))
+    assert loss_eval(spec, 0.25, DataPoint(np.ones(3), -0.5)) == pytest.approx(0.5625)
+    with pytest.raises(LabelRangeError):
+        loss_eval(spec, 0.25, DataPoint(np.ones(3), -1.5))
+    with pytest.raises(LabelRangeError):
+        loss_eval(LossSpec.logistic(), 0.0, DataPoint(np.ones(2), 0.5))
+    assert loss_eval(LossSpec.logistic(), 0.0, DataPoint(np.ones(2), -1.0)) == pytest.approx(np.log(2.0))
 
 
 def test_logistic_loss_stable_for_large_scores():
@@ -73,6 +99,12 @@ def test_domain_contains_interior_point():
     assert dom.contains(np.array([2.0, 0.5, 0.0]))
     assert not dom.contains(np.array([4.0, 0.0, 0.0]))
     assert dom.diameter == 4.0
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, np.nan, np.inf])
+def test_domain_rejects_bad_radius(R):
+    with pytest.raises(ValueError):
+        DomainSpec(2, R)
 
 
 def test_domain_stack_is_row_wise():

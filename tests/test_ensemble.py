@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixshare import ensemble, oco
+from mixshare import ensemble, forecasters, oco
 from mixshare.core import DataPoint, DimensionError, DomainSpec, LabelRangeError, LossSpec, logistic_loss
 from mixshare.gaussian import logsumexp
 from mixshare.posterior import QuadraticPosterior, laplace_refit, quad_update
+from mixshare.verification import gaussian_grid, grid_fixed_share_round, grid_predict_squared
 
 
 def _squared_state(T=50, mu=None, d=1, B=1.0):
@@ -111,6 +112,25 @@ def test_quadratic_branch_matches_per_learner_recursion(seed, d, n, B):
     assert np.all(np.linalg.eigvalsh(covs) > 0.0)
 
 
+@pytest.mark.parametrize("B", [0.5, 2.0])
+def test_ensemble_equals_grid_fixed_share_off_unit_label_bound(B):
+    # criterion 1 away from B = 1, where eta = 1/(2B^2) is 2 and 1/8: a rate
+    # that scaled wrongly with B would split the two recursions
+    rng = np.random.default_rng(102)
+    spec, T = LossSpec.squared_1d(B), 40
+    state = ensemble.init(spec, DomainSpec(1, 1.0), T)
+    anchor = grid = gaussian_grid(0.0, 1.0)
+    worst = 0.0
+    for t in range(T):
+        pt = DataPoint(np.ones(1), float(np.clip(rng.normal(0.5 * B * (-1.0) ** (t // 13), 0.3 * B), -B, B)))
+        z_ens = forecasters.predict_squared_1d(ensemble.pushforward_mixture(state, pt.x), B)
+        worst = max(worst, abs(z_ens - grid_predict_squared(grid, spec)))
+        if t < T - 1:
+            state = ensemble.observe(state, pt)
+            grid = grid_fixed_share_round(grid, pt, spec, state.mu, anchor)
+    assert worst <= 1e-3, f"worst |z| gap {worst:.2e} at B = {B}"
+
+
 def test_buffer_growth_keeps_every_number(monkeypatch):
     rng = np.random.default_rng(35)
     points = [DataPoint(rng.standard_normal(3), float(np.clip(rng.standard_normal(), -1, 1))) for _ in range(20)]
@@ -212,7 +232,7 @@ def test_logistic_branch_matches_per_learner_laplace():
         s = ensemble.observe(s, pt)
         X, y = np.vstack([X, pt.x]), np.append(y, pt.y)
         for j in range(len(modes)):  # learner j was born at round j + 1
-            m, h = laplace_refit(modes[j][None, :], w0, X[j:], y[j:], [0], spec.eta)
+            m, h = laplace_refit(modes[j][None, :], w0, X[j:], y[j:], [0])
             modes[j], hessians[j] = m[0], h[0]
         modes.append(w0)
         hessians.append(np.eye(2))

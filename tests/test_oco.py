@@ -36,6 +36,12 @@ def test_init_gamma_is_strictest_condition():
     assert s.gamma == pytest.approx(0.005)
 
 
+@pytest.mark.parametrize("eta, G", [(np.nan, 1.0), (-1.0, 1.0), (0.0, 1.0), (np.inf, 1.0), (0.25, -2.0), (0.25, np.nan), (0.25, np.inf)])
+def test_init_rejects_bad_eta_and_G(eta, G):
+    with pytest.raises(ValueError):
+        oco.init_oco(DomainSpec(2, 1.0), 10, eta=eta, G=G)
+
+
 def test_tilt_isotropic_component_precision_gain():
     # single N(0, I), g = e1: only the (1,1) precision entry changes, by gamma^2/2
     gamma = 0.2

@@ -80,17 +80,17 @@ def test_variance_recursion_zero_absorbing():
     assert quad_variance_recursion_check(steps=5, sigma1_sq=0.0) == 0.0
 
 
-def _refit_one(mode, X, y, eta=1.0):
+def _refit_one(mode, X, y):
     """One learner's Laplace refit over the whole history (X, y)."""
-    modes, hessians = laplace_refit(mode[None, :], np.zeros(mode.size), X, y, [0], eta)
+    modes, hessians = laplace_refit(mode[None, :], np.zeros(mode.size), X, y, [0])
     return modes[0], hessians[0]
 
 
-def _logistic_factor(mode, hessian, pt, eta=1.0):
-    """E[exp(-eta * logistic loss)] under N(mode, inv(hessian)) pushed along x."""
+def _logistic_factor(mode, hessian, pt):
+    """E[exp(-logistic loss)] under N(mode, inv(hessian)) pushed along x."""
     mu = np.array([mode @ pt.x])
     v = np.array([pt.x @ np.linalg.solve(hessian, pt.x)])
-    return float(np.exp(log_logistic_mix_factors(mu, v, pt.y, eta)[0]))
+    return float(np.exp(log_logistic_mix_factors(mu, v, pt.y)[0]))
 
 
 def test_laplace_anchor_state():
@@ -103,16 +103,15 @@ def test_laplace_anchor_state():
 def test_laplace_update_reaches_gradient_tolerance():
     rng = np.random.default_rng(11)
     mode, X, y = np.zeros(2), np.zeros((0, 2)), np.zeros(0)
-    eta = 1.0
     for _ in range(30):
         X = np.vstack([X, rng.standard_normal(2)])
         y = np.append(y, 1.0 if rng.uniform() < 0.5 else -1.0)
-        mode, _ = _refit_one(mode, X, y, eta)
+        mode, _ = _refit_one(mode, X, y)
         # gradient of F at the stored mode
         z = X @ mode
         sig = 1.0 / (1.0 + np.exp(-z))
         coeff = -y * np.where(y > 0, 1.0 - sig, sig)
-        grad = mode + eta * X.T @ coeff
+        grad = mode + X.T @ coeff
         assert np.linalg.norm(grad) <= 1e-8
 
 
@@ -151,15 +150,14 @@ def test_line_search_without_decrease_raises(monkeypatch):
 
 def test_laplace_mix_factor_against_exact_grid():
     # d=1: quadrature on the Laplace Gaussian vs dense grid integration
-    eta = 1.0
-    mode, hessian = _refit_one(np.zeros(1), np.ones((1, 1)), np.ones(1), eta)
+    mode, hessian = _refit_one(np.zeros(1), np.ones((1, 1)), np.ones(1))
     pt = DataPoint(np.array([0.7]), -1.0)
-    got = _logistic_factor(mode, hessian, pt, eta)
+    got = _logistic_factor(mode, hessian, pt)
 
     mu = mode[0] * pt.x[0]
     v = pt.x[0] ** 2 / hessian[0, 0]
     grid = gaussian_grid(mu, v, lo=mu - 10 * np.sqrt(v), hi=mu + 10 * np.sqrt(v), n=20_001)
-    want = np.sum(grid.values * np.exp(-eta * logistic_loss(grid.grid, pt.y))) * grid.dz
+    want = np.sum(grid.values * np.exp(-logistic_loss(grid.grid, pt.y))) * grid.dz
     assert got == pytest.approx(want, rel=1e-9)
 
 
