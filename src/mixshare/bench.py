@@ -432,7 +432,9 @@ def sweep(cfg: ExperimentConfig, axis: str, values, algorithm: str = "fixed_shar
     axis = 'T': rerun with each horizon in ``values``.
     axis = 'P': fixed T; realize each target path length with 16 switches
     of jump P/16.  Returns (rows, fitted log-log slope of regret against
-    the axis variable).  Every value is checked before the first run.
+    the axis variable).  Every value is checked before the first run; a
+    final regret that is not positive has no logarithm, so it raises
+    ``ConfigError`` naming the axis values that gave one.
     """
     if axis not in ("T", "P"):
         raise ConfigError("axis must be 'T' or 'P'")
@@ -451,7 +453,11 @@ def sweep(cfg: ExperimentConfig, axis: str, values, algorithm: str = "fixed_shar
     for run_cfg in run_cfgs:
         rep = run_experiment(run_cfg).reports[algorithm]
         rows.append(SweepRow(run_cfg.T, rep.path_length, float(rep.cum_dynamic_regret[-1])))
+    nonpositive = [f"{axis} = {val:g} (final regret {r.final_regret:.6g})" for val, r in zip(values, rows)
+                   if not r.final_regret > 0]
+    if nonpositive:
+        raise ConfigError(f"no log-log slope: final regret is not positive at {', '.join(nonpositive)}")
     xs = np.log([r.T if axis == "T" else max(r.path_length, 1e-12) for r in rows])
-    ys = np.log([max(r.final_regret, 1e-12) for r in rows])
+    ys = np.log([r.final_regret for r in rows])
     slope = float(np.polyfit(xs, ys, 1)[0])
     return rows, slope

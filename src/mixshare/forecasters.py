@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import log_sq_exp_integral, logsumexp
+from .gaussian import log_tilted_gauss_integral, logsumexp
 from .posterior import log_logistic_mix_factors
 
 
@@ -35,7 +35,9 @@ class ScalarGaussianMixture:
 
     @staticmethod
     def from_weights(weights, mu, v) -> "ScalarGaussianMixture":
-        return ScalarGaussianMixture(np.log(np.asarray(weights, dtype=float)), mu, v)
+        with np.errstate(divide="ignore"):  # a zero weight is a log weight of -inf
+            log_w = np.log(np.asarray(weights, dtype=float))
+        return ScalarGaussianMixture(log_w, mu, v)
 
     @property
     def weights(self) -> np.ndarray:
@@ -71,7 +73,7 @@ class MixLossValue:
 
 def mix_loss_squared(mix: ScalarGaussianMixture, y: float, B: float) -> MixLossValue:
     """-2 B^2 ln sum_i p_i E_i[exp(-(z - y)^2 / (2 B^2))], in log-space."""
-    log_terms = mix.log_w + log_sq_exp_integral(mix.mu, mix.v, y, B)
+    log_terms = mix.log_w + log_tilted_gauss_integral(mix.mu - y, mix.v, 1.0 / (2.0 * B * B), 0.0)
     return MixLossValue(value=-2.0 * B * B * float(logsumexp(log_terms)))
 
 

@@ -1,12 +1,13 @@
 """Gaussian distribution arithmetic.
 
-Closed-form entropy and KL divergence of one Gaussian, and the 1-D
-Gaussian integrals of the per-round mix factors, evaluated elementwise
-over stacked arrays of pushforward means and variances: the squared
-exponential and the quadratic tilt.  Also the in-place rank-one tilt of a
-stack of Gaussians and a numpy log-sum-exp.  The integrals are returned
-in log-space, so that long products of per-round weight factors stay
-stable.
+Closed-form entropy and KL divergence of one Gaussian, and the one 1-D
+Gaussian integral behind every quadratic mix factor, the normalizer of
+the tilt exp(-a s^2 - b s), evaluated elementwise over stacked arrays of
+pushforward means and variances.  The squared-loss factor is its
+special case a = 1/(2 B^2), b = 0 on the residual mean.  Also the
+in-place rank-one tilt of a stack of Gaussians and a numpy log-sum-exp.
+The integral is returned in log-space, so that long products of
+per-round weight factors stay stable.
 """
 
 from __future__ import annotations
@@ -89,33 +90,20 @@ def kl_divergence(q: GaussianDist, p: GaussianDist) -> float:
     return 0.5 * (p.log_det_cov - q.log_det_cov + trace + maha - q.d)
 
 
-def log_sq_exp_integral(mu, v, y: float, B: float):
-    """log E_{z ~ N(mu, v)}[exp(-(z - y)^2 / (2 B^2))], elementwise in (mu, v).
-
-    Closed form: (1/2) ln(B^2/(B^2+v)) - (mu-y)^2 / (2 (B^2 + v)).
-    """
-    mu = np.asarray(mu, dtype=float)
-    v = np.asarray(v, dtype=float)
-    b2 = B * B
-    total = b2 + v
-    return 0.5 * (np.log(b2) - np.log(total)) - (mu - y) ** 2 / (2.0 * total)
-
-
 def log_tilted_gauss_integral(mu, v, a: float, b: float):
     """log E_{s ~ N(mu, v)}[exp(-a s^2 - b s)] for a >= 0, elementwise.
 
-    Completing the square with A = 1/v + 2a and C = mu/v - b gives
-    log = -(1/2) ln(v A) + C^2/(2A) - mu^2/(2v); the v -> 0 limit is
-    -a mu^2 - b mu.  Reduces to the Gaussian MGF when a = 0.
+    Completing the square gives
+    -(1/2) ln(1 + 2av) + ((1/2) b^2 v - (a mu + b) mu) / (1 + 2av),
+    which is finite at v = 0, where it is -a mu^2 - b mu, and has no
+    cancelling terms as av grows.  Reduces to the Gaussian MGF when a = 0.
     """
     if a < 0:
         raise ValueError("quadratic tilt coefficient must be nonnegative")
     mu = np.asarray(mu, dtype=float)
     v = np.asarray(v, dtype=float)
-    # Rearranged to stay finite as v -> 0:
-    #   -(1/2) ln(1 + 2av) + (-a mu^2 - b mu + v (2a mu + b)^2 / (2 (1+2av)))
     one_plus = 1.0 + 2.0 * a * v
-    return -0.5 * np.log(one_plus) - a * mu * mu - b * mu + v * (2.0 * a * mu + b) ** 2 / (2.0 * one_plus)
+    return -0.5 * np.log(one_plus) + (0.5 * b * b * v - (a * mu + b) * mu) / one_plus
 
 
 def tilt_rank_one(means: np.ndarray, covs: np.ndarray, x: np.ndarray, a: float, b: float, c: float) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Projected fixed-share with a surrogate loss for exp-concave OCO.
 
-Each round predicts the mixture mean, builds the quadratic surrogate from
-the observed gradient, tilts every Gaussian component in closed form,
-repairs the mixture back into the constraint family (means inside the
-domain, covariance eigenvalues in [1/T, 1]), and mixes in the anchor.
-The repair is one batched ``eigh`` over the live components; the closing
-membership check tests the eigenvalue band with two batched Cholesky
-factorizations instead of a second eigendecomposition.
+Each round predicts the mixture mean, tilts every Gaussian component in
+closed form by the exponential weight of the quadratic surrogate built
+from the observed gradient, repairs each component in place back into
+the constraint family (means inside the domain, covariance eigenvalues
+in [1/T, 1]), and mixes in the anchor.  The repair is one batched
+``eigh`` over the live components; the closing membership check tests
+the eigenvalue band with two batched Cholesky factorizations instead of
+a second eigendecomposition.
 The state is an ``ensemble.FixedShareMixture``, the same buffered mixture
 the ensemble uses: ``oco_round`` tilts and repairs its live components in
 place and closes the round with the shared fixed-share step, so no
@@ -32,30 +33,6 @@ from .gaussian import LOG_2PI, logsumexp, tilt_rank_one
 
 class ConstraintViolationError(ValueError):
     """Mixture component violates the constraint-set invariants."""
-
-
-@dataclass(frozen=True)
-class SurrogateLoss:
-    """Linear plus squared-linear loss s + (gamma/2) s^2, s = g'(w - w_ref)."""
-
-    g: np.ndarray
-    w_ref: np.ndarray
-    gamma: float
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
-        object.__setattr__(self, "w_ref", np.asarray(self.w_ref, dtype=float))
-
-    def __call__(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        s = (w - self.w_ref) @ self.g
-        return s + 0.5 * self.gamma * s * s
-
-
-def make_surrogate(g: np.ndarray, w_ref: np.ndarray, gamma: float) -> SurrogateLoss:
-    return SurrogateLoss(g, w_ref, gamma)
 
 
 @dataclass(frozen=True)
@@ -124,25 +101,26 @@ def predict_mean(s: OcoState) -> np.ndarray:
     return s.view().mean()
 
 
-def ew_update_surrogate(mix: GaussianMixture, f: SurrogateLoss) -> np.ndarray:
-    """Exact Gaussian tilt of every component by exp(-gamma * f / 2), in place.
+def ew_update_surrogate(mix: GaussianMixture, g: np.ndarray, w_ref: np.ndarray, gamma: float) -> np.ndarray:
+    """Exact Gaussian tilt of every component, in place, by exp(-gamma f / 2)
+    for the surrogate f(w) = s + (gamma/2) s^2, s = g'(w - w_ref).
 
-    With s = g'w - g'w_ref the tilt is exp(-a s^2 - b s) for a = gamma^2/4
-    and b = gamma/2: ``gaussian.tilt_rank_one`` along g.  Returns the
-    per-component log factors; the caller owns the weights.
+    The tilt is exp(-a s^2 - b s) for a = gamma^2/4 and b = gamma/2:
+    ``gaussian.tilt_rank_one`` along g.  Returns the per-component log
+    factors; the caller owns the weights.
     """
-    a, b = f.gamma * f.gamma / 4.0, f.gamma / 2.0
-    return tilt_rank_one(mix.means, mix.covs, f.g, a, b, float(f.g @ f.w_ref))
+    return tilt_rank_one(mix.means, mix.covs, g, gamma * gamma / 4.0, gamma / 2.0, float(g @ w_ref))
 
 
-def approx_project_to_M(mix: GaussianMixture, domain: DomainSpec, T: int) -> MixtureInM:
-    """Per-component repair: project means onto the ball, clamp covariance
-    eigenvalues to [1/T, 1] in the eigenbasis; weights unchanged."""
-    means = domain.project(mix.means)
+def approx_project_to_M(mix: GaussianMixture, domain: DomainSpec, T: int) -> None:
+    """Per-component repair in place: project ``mix.means`` onto the ball and
+    clamp the eigenvalues of ``mix.covs`` to [1/T, 1] in the eigenbasis;
+    weights unchanged."""
+    mix.means[:] = domain.project(mix.means)
     eigvals, eigvecs = np.linalg.eigh(mix.covs)
     eigvals = np.clip(eigvals, 1.0 / T, 1.0)
     covs = (eigvecs * eigvals[:, None, :]) @ np.swapaxes(eigvecs, 1, 2)
-    return MixtureInM(GaussianMixture(mix.log_w, means, 0.5 * (covs + np.swapaxes(covs, 1, 2))), T)
+    mix.covs[:] = 0.5 * (covs + np.swapaxes(covs, 1, 2))
 
 
 def oco_round(s: OcoState, grad_oracle) -> tuple:
@@ -161,9 +139,8 @@ def oco_round(s: OcoState, grad_oracle) -> tuple:
     if not float(np.linalg.norm(g)) <= s.G * (1.0 + 1e-9):  # NaN fails too
         raise ValueError(f"gradient norm {np.linalg.norm(g)} exceeds declared bound G = {s.G}")
     live = s.view()
-    log_factors = ew_update_surrogate(live, make_surrogate(g, w_t, s.gamma))
-    repaired = approx_project_to_M(live, s.domain, s.horizon).mixture
-    live.means[:], live.covs[:] = repaired.means, repaired.covs
+    log_factors = ew_update_surrogate(live, g, w_t, s.gamma)
+    approx_project_to_M(live, s.domain, s.horizon)
     s.fixed_share(log_factors)
     s.mixture.validate(s.domain)
     return w_t, s

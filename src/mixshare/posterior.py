@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataPoint, LabelRangeError
-from .gaussian import log_sq_exp_integral, logsumexp
+from .gaussian import log_tilted_gauss_integral, logsumexp
 
 # Gauss-Hermite rule for E_{z ~ N(mu, v)}[f(z)] = sum_j w_j f(mu + sqrt(2v) t_j) / sqrt(pi).
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(64)
@@ -83,7 +83,7 @@ def log_quad_mix_factor(p: QuadraticPosterior, point: DataPoint, B: float) -> fl
     x = point.x
     mean = p.mean
     v = float(x @ np.linalg.solve(p.precision, x))
-    return float(log_sq_exp_integral(float(mean @ x), v, point.y, B))
+    return float(log_tilted_gauss_integral(float(mean @ x) - point.y, v, 1.0 / (2.0 * B * B), 0.0))
 
 
 def quad_variance_recursion_check(steps: int, sigma1_sq: float = 1.0) -> float:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -251,6 +252,17 @@ def test_sweep_rows_and_slope():
     assert np.isfinite(slope)
     with pytest.raises(bench.ConfigError):
         bench.sweep(cfg, "X", [1, 2])
+
+
+def test_sweep_rejects_nonpositive_final_regret():
+    # seed 1 beats its comparator at both horizons (regrets -1.51 and -0.41),
+    # which has no logarithm; seed 3 (regrets 0.008 and 0.572) fits a slope
+    cfg = bench.ExperimentConfig(task="logistic", d=2, T=50, R=1.0, seed=1)
+    with pytest.raises(bench.ConfigError, match=r"T = 20 \(final regret -1.5\d*\), T = 40 \(final regret -0.41"):
+        bench.sweep(cfg, "T", [20, 40])
+    rows, slope = bench.sweep(replace(cfg, seed=3), "T", [20, 40])
+    assert [r.final_regret > 0 for r in rows] == [True, True]
+    assert slope == pytest.approx(6.0753, abs=1e-4)
 
 
 @pytest.mark.parametrize("axis, values", [("T", [50, 20.7]), ("T", [50, np.nan]), ("T", [50]), ("P", [1.0, 1.0])])

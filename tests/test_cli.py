@@ -83,6 +83,15 @@ def test_sweep_rejects_bad_values(tmp_path, capsys, values, message):
     assert captured.err == f"mixshare: config error: {message}\n"
 
 
+def test_sweep_rejects_nonpositive_final_regret(tmp_path, capsys):
+    text = "task = logistic\nd = 2\nT = 50\nR = 1.0\nseed = 1\n"
+    assert cli.main(["sweep", "--config", _write_config(tmp_path, text), "--axis", "T", "--values", "20,40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mixshare: config error: no log-log slope: final regret is not positive at T = 20")
+    assert captured.err.count("\n") == 1
+
+
 def test_run_rejects_bad_config(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("task = squared1d\nunknown_key = 5\n")

@@ -96,6 +96,19 @@ def test_least_squares_shares_scalar_code_path():
     assert predict_squared_1d(mix.pushforward(x), B) == pytest.approx(predict_squared_1d(scalar, B), rel=1e-12)
 
 
+def test_zero_weight_component_is_inert():
+    # a zero weight is a log weight of -inf, taken without a RuntimeWarning
+    padded = ScalarGaussianMixture.from_weights([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])
+    single = ScalarGaussianMixture.from_weights([1.0], [0.0], [1.0])
+    assert padded.log_w[1] == -np.inf
+    assert predict_squared_1d(padded, 1.0) == predict_squared_1d(single, 1.0)
+    assert predict_logistic(padded) == predict_logistic(single)
+    for y in (-1.0, 0.3, 1.0):
+        assert mix_loss_squared(padded, y, 1.0).value == mix_loss_squared(single, y, 1.0).value
+    for y in (-1.0, 1.0):
+        assert mix_loss_logistic(padded, y).value == mix_loss_logistic(single, y).value
+
+
 def test_mean_sigmoid_matches_mc():
     rng = np.random.default_rng(24)
     mix = _random_scalar_mixture(rng, 3)

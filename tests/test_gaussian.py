@@ -10,7 +10,6 @@ from mixshare.gaussian import (
     GaussianDist,
     entropy,
     kl_divergence,
-    log_sq_exp_integral,
     log_tilted_gauss_integral,
     logsumexp,
 )
@@ -110,27 +109,11 @@ def test_pushforward_values():
     assert pf.v[0] == pytest.approx(5.0)
 
 
-def test_sq_exp_integral_point_mass_limit():
-    # v = 0 reduces to exp(-(mu - y)^2 / (2 B^2))
-    assert np.exp(log_sq_exp_integral(0.3, 0.0, 1.0, 1.0)) == pytest.approx(np.exp(-0.49 / 2.0))
-
-
-def test_sq_exp_integral_vs_quadrature():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        mu, v = rng.uniform(-2, 2), rng.uniform(0.01, 3)
-        y, B = rng.uniform(-1, 1), rng.uniform(0.5, 2)
-        closed = np.exp(log_sq_exp_integral(mu, v, y, B))
-        quad = _gh_expect(mu, v, lambda z: np.exp(-((z - y) ** 2) / (2 * B * B)), hermgauss(128))
-        assert closed == pytest.approx(quad, rel=1e-8)
-
-
-def test_sq_exp_integral_in_unit_interval():
-    rng = np.random.default_rng(5)
-    mu = rng.uniform(-5, 5, 100)
-    v = rng.uniform(0, 5, 100)
-    vals = np.exp(log_sq_exp_integral(mu, v, 0.7, 1.3))
-    assert np.all(vals > 0) and np.all(vals <= 1.0)
+def test_tilted_integral_point_mass_limit():
+    # v = 0 reduces to exp(-a mu^2 - b mu); the squared-loss factor,
+    # a = 1/(2 B^2) and b = 0 on mu - y, to exp(-(mu - y)^2 / (2 B^2))
+    assert np.exp(log_tilted_gauss_integral(0.4, 0.0, 0.3, -0.7)) == pytest.approx(np.exp(-0.3 * 0.16 + 0.7 * 0.4))
+    assert np.exp(log_tilted_gauss_integral(0.3 - 1.0, 0.0, 0.5, 0.0)) == pytest.approx(np.exp(-0.49 / 2.0))
 
 
 def test_tilted_integral_is_mgf_at_zero_quadratic():
@@ -147,6 +130,23 @@ def test_tilted_integral_vs_quadrature():
         closed = np.exp(log_tilted_gauss_integral(mu, v, a, b))
         quad = _gh_expect(mu, v, lambda s: np.exp(-a * s * s - b * s), hermgauss(128))
         assert closed == pytest.approx(quad, rel=1e-7)
+    # the squared-loss factor E[exp(-(z - y)^2 / (2 B^2))]: a = 1/(2 B^2), b = 0 on mu - y
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        mu, v = rng.uniform(-2, 2), rng.uniform(0.01, 3)
+        y, B = rng.uniform(-1, 1), rng.uniform(0.5, 2)
+        closed = np.exp(log_tilted_gauss_integral(mu - y, v, 1.0 / (2.0 * B * B), 0.0))
+        quad = _gh_expect(mu, v, lambda z: np.exp(-((z - y) ** 2) / (2 * B * B)), hermgauss(128))
+        assert closed == pytest.approx(quad, rel=1e-8)
+
+
+def test_tilted_integral_in_unit_interval():
+    # with b = 0 the integrand exp(-a s^2) lies in (0, 1]
+    rng = np.random.default_rng(5)
+    mu = rng.uniform(-5, 5, 100)
+    v = rng.uniform(0, 5, 100)
+    vals = np.exp(log_tilted_gauss_integral(mu - 0.7, v, 1.0 / (2.0 * 1.3 * 1.3), 0.0))
+    assert np.all(vals > 0) and np.all(vals <= 1.0)
 
 
 def test_tilted_integral_rejects_negative_a():
