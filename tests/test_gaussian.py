@@ -130,6 +130,9 @@ def test_tilted_integral_vs_quadrature():
         closed = np.exp(log_tilted_gauss_integral(mu, v, a, b))
         quad = _gh_expect(mu, v, lambda s: np.exp(-a * s * s - b * s), hermgauss(128))
         assert closed == pytest.approx(quad, rel=1e-7)
+
+
+def test_sq_exp_integral_vs_quadrature():
     # the squared-loss factor E[exp(-(z - y)^2 / (2 B^2))]: a = 1/(2 B^2), b = 0 on mu - y
     rng = np.random.default_rng(4)
     for _ in range(20):
