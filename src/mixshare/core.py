@@ -123,14 +123,18 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class DataPoint:
+    """One observation; ``x`` is a read-only copy of the features passed in,
+    so the finiteness checked here holds for the life of the point."""
+
     x: np.ndarray
     y: float
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
+        x = np.array(self.x, dtype=float)
         y = float(self.y)
         if not (np.all(np.isfinite(x)) and np.isfinite(y)):
             raise ValueError(f"data point must be finite, got x = {x}, y = {y}")
+        x.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 

@@ -9,13 +9,16 @@ base learners born each round, the components evolve identically to one
 fixed-share update over the continuous parameter space, which the
 verification module checks against a grid simulator.
 
-Every slot holds a mean and a covariance.  A squared-loss factor is one
-rank-one Gaussian tilt, so a quadratic round costs O(k d^2) and solves no
-system.  The logistic loss refits Laplace modes over the shared history
-by ``posterior.laplace_refit`` and stores the inverse Hessians; its mix
-factors come from ``posterior.log_logistic_mix_factors``.  Both factor
-sources return finite logs for every finite point, so the weights are
-reweighted in log space with no floor.
+Every slot holds a mean and a covariance.  A round reads the 1-D
+pushforward (cov x, x'm, v) of the components along x once: the
+forecast's ``pushforward_mixture`` keeps it, and ``observe`` reuses it
+for a point with the same read-only x in the same round.  A squared-loss
+factor is one rank-one Gaussian tilt on it, so a quadratic round costs
+O(k d^2) and solves no system.  The logistic loss takes its mix factors
+from ``posterior.log_logistic_mix_factors`` on it, then refits Laplace
+modes over the shared history by ``posterior.laplace_refit`` and stores
+the inverse Hessians.  Both factor sources return finite logs for every
+finite point, so the weights are reweighted in log space with no floor.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .core import DataPoint, DimensionError, DomainSpec, LossKind, LossSpec
 from .forecasters import GaussianMixture, ScalarGaussianMixture
-from .gaussian import logsumexp, tilt_rank_one
+from .gaussian import logsumexp, pushforward_stack, tilt_in_place
 from .posterior import laplace_refit, log_logistic_mix_factors
 
 # Component slots allocated up front; the buffers double from here.
@@ -144,6 +147,8 @@ class EnsembleState(FixedShareMixture):
         self.quadratic = loss_spec.kind in (LossKind.SQUARED_1D, LossKind.LEAST_SQUARES)
         self.x_hist = np.zeros((0, domain.d))
         self.y_hist = np.zeros(0)
+        # (round, x, cov_x, x'm, v) of the last pushforward_mixture
+        self._pushforward = None
 
 
 def init(spec: LossSpec, domain: DomainSpec, horizon: int, mu: float | None = None) -> EnsembleState:
@@ -168,13 +173,17 @@ def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:
     s.loss_spec.check_label(point.y)
     k = s.n_learners
     means, covs = s._means[:k], s._covs[:k]
-    if s.quadratic:
-        # exp(-eta (x'w - y)^2) is the tilt with a = eta, b = 0, c = y
-        log_factors = tilt_rank_one(means, covs, point.x, s.loss_spec.eta, 0.0, point.y)
+    x, cached = point.x, s._pushforward
+    if cached is not None and cached[0] == s.round and cached[1] is x and not x.flags.writeable:
+        cov_x, xm, v = cached[2:]  # this round's forecast pushed forward this very x
     else:
-        pf = pushforward_mixture(s, point.x)
-        log_factors = log_logistic_mix_factors(pf.mu, pf.v, point.y)
-        X, y = np.vstack([s.x_hist, point.x]), np.append(s.y_hist, point.y)
+        cov_x, xm, v = pushforward_stack(means, covs, x)
+    if s.quadratic:
+        # exp(-eta (x'w - y)^2) is the tilt with a = eta, b = 0 on s = x'w - y
+        log_factors = tilt_in_place(means, covs, cov_x, xm - point.y, v, s.loss_spec.eta, 0.0)
+    else:
+        log_factors = log_logistic_mix_factors(xm, v, point.y)
+        X, y = np.vstack([s.x_hist, x]), np.append(s.y_hist, point.y)
         means[:], hessians = laplace_refit(means, s.w0, X, y, s._births[:k] - 1)
         covs[:] = np.linalg.inv(hessians)
         s.x_hist, s.y_hist = X, y
@@ -188,5 +197,11 @@ def mixture(s: EnsembleState) -> GaussianMixture:
 
 
 def pushforward_mixture(s: EnsembleState, x: np.ndarray) -> ScalarGaussianMixture:
-    """1-D mixture of w'x, computed from the live components without copying them."""
-    return s.view().pushforward(x)
+    """1-D mixture of w'x, computed from the live components without copying
+    them.  Its means and variances are read-only: ``observe`` reuses them,
+    with cov x, when it is given a point with this very ``x`` in the same
+    round and ``x`` is read-only, so that its values cannot have changed."""
+    k = s.n_learners
+    cov_x, xm, v = (_read_only(a) for a in pushforward_stack(s._means[:k], s._covs[:k], x))
+    s._pushforward = (s.round, x if isinstance(x, np.ndarray) else None, cov_x, xm, v)
+    return ScalarGaussianMixture(s.log_weights.copy(), xm, v)

@@ -3,10 +3,11 @@
 Every forecaster works on the 1-D mixture of the score w'x
 (``GaussianMixture.pushforward``).  The squared-loss forecaster, for the
 squared 1-D and least-squares families alike, evaluates the mix loss at
-the two label endpoints and clips.  The logistic forecaster is the
-log-odds log P(+1) - log P(-1) of the two label probabilities, and the
-logistic mix loss is -log P(y); both take log P(y) from the one logistic
-quadrature, ``posterior.log_logistic_mix_factors``, so no probability is
+the two label endpoints, both in one normalizer call, and clips.  The
+logistic forecaster is the log-odds log P(+1) - log P(-1) of the two
+label probabilities, and the logistic mix loss is -log P(y); both take
+log P(y) from the one logistic quadrature,
+``posterior.log_logistic_mix_factors``, so no probability is
 formed outside log space and none is clamped.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import log_tilted_gauss_integral, logsumexp
+from .gaussian import log_tilted_gauss_integral, logsumexp, pushforward_stack
 from .posterior import log_logistic_mix_factors
 
 
@@ -58,9 +59,8 @@ class GaussianMixture:
 
     def pushforward(self, x: np.ndarray) -> ScalarGaussianMixture:
         """1-D mixture of w'x; its log-weights are a copy of this mixture's."""
-        x = np.asarray(x, dtype=float)
-        v = (self.covs @ x) @ x
-        return ScalarGaussianMixture(self.log_w.copy(), self.means @ x, np.maximum(v, 0.0))
+        _, xm, v = pushforward_stack(self.means, self.covs, x)
+        return ScalarGaussianMixture(self.log_w.copy(), xm, v)
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.means
@@ -78,11 +78,16 @@ def mix_loss_squared(mix: ScalarGaussianMixture, y: float, B: float) -> MixLossV
 
 
 def predict_squared_1d(mix: ScalarGaussianMixture, B: float) -> float:
-    """Mix prediction clip((m(-B) - m(B)) / (4B)) for the squared loss."""
-    m_neg = mix_loss_squared(mix, -B, B).value
-    m_pos = mix_loss_squared(mix, B, B).value
+    """Mix prediction clip((m(-B) - m(B)) / (4B)) for the squared loss.
+
+    The mix losses m(-B) and m(B) of ``mix_loss_squared`` are evaluated
+    together, as the two rows of one (2, k) normalizer call.
+    """
+    endpoints = np.array([[-B], [B]])
+    log_terms = mix.log_w + log_tilted_gauss_integral(mix.mu - endpoints, mix.v, 1.0 / (2.0 * B * B), 0.0)
+    m_neg, m_pos = (-2.0 * B * B * logsumexp(log_terms, axis=1)).tolist()
     z = (m_neg - m_pos) / (4.0 * B)
-    return float(np.clip(z, -B, B))
+    return float(min(max(z, -B), B))
 
 
 def mix_loss_logistic(mix: ScalarGaussianMixture, y: float) -> MixLossValue:

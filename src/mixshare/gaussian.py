@@ -5,7 +5,9 @@ Gaussian integral behind every quadratic mix factor, the normalizer of
 the tilt exp(-a s^2 - b s), evaluated elementwise over stacked arrays of
 pushforward means and variances.  The squared-loss factor is its
 special case a = 1/(2 B^2), b = 0 on the residual mean.  Also the
-in-place rank-one tilt of a stack of Gaussians and a numpy log-sum-exp.
+rank-one tilt of a stack of Gaussians, in two parts: the 1-D pushforward
+along x, which a forecast can read first, and the in-place write that
+uses it; and a numpy log-sum-exp.
 The integral is returned in log-space, so that long products of
 per-round weight factors stay stable.
 """
@@ -106,24 +108,43 @@ def log_tilted_gauss_integral(mu, v, a: float, b: float):
     return -0.5 * np.log(one_plus) + (0.5 * b * b * v - (a * mu + b) * mu) / one_plus
 
 
-def tilt_rank_one(means: np.ndarray, covs: np.ndarray, x: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
-    """Tilt every N(means[i], covs[i]) by exp(-a s^2 - b s), s = x'w - c, in place.
+def pushforward_stack(means: np.ndarray, covs: np.ndarray, x: np.ndarray) -> tuple:
+    """The 1-D pushforward of every N(means[i], covs[i]) along x.
+
+    Returns (cov_x, x'm, v): the (k, d) products covs @ x, the means
+    x'means[i] and the variances v = x' covs[i] x, floored at 0 against
+    round-off.  ``tilt_in_place`` reads all three.
+    """
+    x = np.asarray(x, dtype=float)
+    cov_x = covs @ x  # (k, d)
+    return cov_x, means @ x, np.maximum(cov_x @ x, 0.0)
+
+
+def tilt_in_place(means: np.ndarray, covs: np.ndarray, cov_x: np.ndarray, mu: np.ndarray, v: np.ndarray,
+                  a: float, b: float) -> np.ndarray:
+    """Tilt every N(means[i], covs[i]) by exp(-a s^2 - b s) in place, given
+    the pushforward (cov_x, v) along x and the shifted means mu = x'm - c.
 
     The tilt adds 2a x x' to each precision, so Sherman-Morrison gives
-    cov' = cov - 2a (cov x)(cov x)' / (1 + 2a v) with v = x' cov x, and
-    the mean moves to m' = m - (2a mu + b) cov x / (1 + 2a v) with
-    mu = x'm - c.  Symmetric covariances stay exactly symmetric and no
-    system is solved.  Returns the per-component log normalizers
-    log E_i[exp(-a s^2 - b s)]; the caller owns the component weights.
+    cov' = cov - 2a (cov x)(cov x)' / (1 + 2a v), and the mean moves to
+    m' = m - (2a mu + b) cov x / (1 + 2a v).  Symmetric covariances stay
+    exactly symmetric and no system is solved.  Returns the per-component
+    log normalizers log E_i[exp(-a s^2 - b s)]; the caller owns the
+    component weights.
     """
-    cov_x = covs @ x  # (k, d)
-    v = np.maximum(cov_x @ x, 0.0)
-    mu = means @ x - c
     log_factors = log_tilted_gauss_integral(mu, v, a, b)
     one_plus = 1.0 + 2.0 * a * v
     means -= ((2.0 * a * mu + b) / one_plus)[:, None] * cov_x
     covs -= (2.0 * a / one_plus)[:, None, None] * (cov_x[:, :, None] * cov_x[:, None, :])
     return log_factors
+
+
+def tilt_rank_one(means: np.ndarray, covs: np.ndarray, x: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
+    """Tilt every N(means[i], covs[i]) by exp(-a s^2 - b s), s = x'w - c, in
+    place: the pushforward along x, then ``tilt_in_place``.  Returns the
+    per-component log normalizers."""
+    cov_x, xm, v = pushforward_stack(means, covs, x)
+    return tilt_in_place(means, covs, cov_x, xm - c, v, a, b)
 
 
 def logsumexp(a, axis=None, b=None):

@@ -8,7 +8,8 @@ Newton after each observation.  ``laplace_refit`` is the package's only
 Newton refit: it refits a batch of learners, each over its own suffix of
 one shared history, so the ensemble refits all of its learners in one
 call.  ``log_logistic_mix_factors`` is the package's only Gauss-Hermite
-quadrature, on one fixed 64-node rule: it gives the per-round mix factors
+quadrature, on one fixed 64-node rule that is built on its first use
+(``gauss_hermite_rule``): it gives the per-round mix factors
 E_P[exp(-loss)] consumed by the meta-learner, which are also the log label
 probabilities of the logistic forecaster and mix loss.  The logistic
 family's learning rate is fixed at 1 (``core.LossSpec``), so no function
@@ -17,15 +18,13 @@ here takes a rate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DataPoint, LabelRangeError
 from .gaussian import log_tilted_gauss_integral, logsumexp
-
-# Gauss-Hermite rule for E_{z ~ N(mu, v)}[f(z)] = sum_j w_j f(mu + sqrt(2v) t_j) / sqrt(pi).
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(64)
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -39,7 +38,7 @@ class QuadraticPosterior:
     mean = precision^{-1} shift and cov = precision^{-1}; the prior
     N(w0, I_d) contributes precision I and shift w0, and each observation
     adds the exact rank-one terms x x'/B^2 and y x/B^2.  The ensemble
-    keeps covariance form instead (``gaussian.tilt_rank_one``); this
+    keeps covariance form instead (``gaussian.tilt_in_place``); this
     recursion is the independent reference it is tested against.
     """
 
@@ -171,12 +170,28 @@ def laplace_refit(modes, w0, X, y, starts):
     )
 
 
+@functools.cache
+def gauss_hermite_rule() -> tuple:
+    """The 64-node Gauss-Hermite rule (nodes t_j, weights w_j), read-only.
+
+    E_{z ~ N(mu, v)}[f(z)] = sum_j w_j f(mu + sqrt(2v) t_j) / sqrt(pi).
+    Built on the first logistic use, so that quadratic runs never import
+    ``numpy.polynomial``.
+    """
+    from numpy.polynomial.hermite import hermgauss
+
+    nodes, weights = hermgauss(64)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def log_logistic_mix_factors(mu, v, y: float) -> np.ndarray:
     """log E[exp(-logistic(z, y))] for z ~ N(mu_i, v_i), for every i.
 
-    64-node Gauss-Hermite quadrature in log-space; capped at 0 since the
-    loss is nonnegative.
+    64-node Gauss-Hermite quadrature (``gauss_hermite_rule``) in log-space;
+    capped at 0 since the loss is nonnegative.
     """
-    z = mu[:, None] + np.sqrt(2.0 * v)[:, None] * _GH_NODES[None, :]
+    nodes, weights = gauss_hermite_rule()
+    z = mu[:, None] + np.sqrt(2.0 * v)[:, None] * nodes[None, :]
     log_vals = -np.logaddexp(0.0, -y * z)
-    return np.minimum(logsumexp(log_vals, b=_GH_WEIGHTS[None, :] / np.sqrt(np.pi), axis=1), 0.0)
+    return np.minimum(logsumexp(log_vals, b=weights[None, :] / np.sqrt(np.pi), axis=1), 0.0)

@@ -125,6 +125,16 @@ def test_data_point_rejects_non_finite(x, y):
         DataPoint(np.array(x), y)
 
 
+def test_data_point_keeps_a_read_only_copy_of_x():
+    x = np.ones(2)
+    pt = DataPoint(x, 0.5)
+    x[0] = np.nan
+    assert np.array_equal(pt.x, [1.0, 1.0])
+    with pytest.raises(ValueError):
+        pt.x[0] = np.nan
+    assert np.array_equal(pt.x, [1.0, 1.0])
+
+
 def test_path_length_stationary_is_zero():
     seq = ComparatorSequence([np.zeros(2)] * 5)
     assert path_length(seq) == 0.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixshare import ensemble, forecasters, oco
-from mixshare.core import DataPoint, DimensionError, DomainSpec, LabelRangeError, LossSpec, logistic_loss
+from mixshare.core import DataPoint, DimensionError, DomainSpec, LabelRangeError, LossKind, LossSpec, logistic_loss
 from mixshare.gaussian import logsumexp
 from mixshare.posterior import QuadraticPosterior, laplace_refit, quad_update
 from mixshare.verification import gaussian_grid, grid_fixed_share_round, grid_predict_squared
@@ -283,3 +283,65 @@ def test_mixture_views_agree():
         # the copies outlive the round
         pf.log_w[0] = mix.log_w[0] = 1.0
         assert s.log_weights[0] != 1.0
+
+
+def _cache_streams():
+    # (spec, d, points) for squared1d, least squares at d = 8 and logistic at d = 2
+    rng = np.random.default_rng(37)
+    for spec, d in ((LossSpec.squared_1d(1.0), 1), (LossSpec.least_squares(3.0), 8), (LossSpec.logistic(), 2)):
+        ys = np.clip(rng.standard_normal(12), -1.0, 1.0)
+        ys = np.where(ys >= 0, 1.0, -1.0) if spec.kind == LossKind.LOGISTIC else ys
+        yield spec, d, [DataPoint(rng.standard_normal(d), float(y)) for y in ys]
+
+
+def _assert_same_state(a, b):
+    assert (a.round, a.births) == (b.round, b.births)
+    assert np.array_equal(a.log_weights, b.log_weights) and np.array_equal(a.x_hist, b.x_hist)
+    assert np.array_equal(a.means(), b.means()) and np.array_equal(a.covs(), b.covs())
+
+
+def test_forecast_pushforward_reuse_is_bit_identical():
+    for spec, d, points in _cache_streams():
+        forecast, plain = (ensemble.init(spec, DomainSpec(d, 1.0), 20) for _ in range(2))
+        for pt in points:
+            ensemble.pushforward_mixture(forecast, pt.x)
+            with mock.patch.object(ensemble, "pushforward_stack") as recompute:
+                ensemble.observe(forecast, pt)
+            recompute.assert_not_called()
+            ensemble.observe(plain, pt)
+            _assert_same_state(forecast, plain)
+
+
+def test_stale_pushforward_is_not_reused():
+    for spec, d, points in _cache_streams():
+        stale, fresh = (ensemble.init(spec, DomainSpec(d, 1.0), 20) for _ in range(2))
+        for i in range(0, len(points) - 1, 2):
+            # read-only, but another x this round, and then the same x a round late
+            ensemble.pushforward_mixture(stale, points[i + 1].x)
+            for pt in points[i : i + 2]:
+                ensemble.observe(stale, pt)
+                ensemble.observe(fresh, pt)
+                _assert_same_state(stale, fresh)
+
+
+def test_writable_x_always_recomputes():
+    for spec, d, points in _cache_streams():
+        cached, fresh = (ensemble.init(spec, DomainSpec(d, 1.0), 20) for _ in range(2))
+        for pt in points:
+            ensemble.pushforward_mixture(cached, pt.x)
+            pt.x.flags.writeable = True
+            pt.x[0] += 0.5  # a caller may re-enable writes on the array it owns
+            ensemble.observe(cached, pt)
+            ensemble.observe(fresh, pt)
+            _assert_same_state(cached, fresh)
+
+
+def test_pushforward_arrays_are_read_only():
+    s, _ = _squared_state(T=10, d=2)
+    pt = DataPoint(np.array([0.3, -1.2]), 0.4)
+    pf = ensemble.pushforward_mixture(s, pt.x)
+    for a in (pf.mu, pf.v):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    ensemble.observe(s, pt)
+    assert s.means()[0] @ pt.x != pf.mu[0]  # the forecast's copy outlives the round

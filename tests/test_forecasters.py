@@ -96,6 +96,19 @@ def test_least_squares_shares_scalar_code_path():
     assert predict_squared_1d(mix.pushforward(x), B) == pytest.approx(predict_squared_1d(scalar, B), rel=1e-12)
 
 
+@pytest.mark.parametrize("B", [0.5, 1.0, 3.0])
+def test_predict_squared_equals_its_two_endpoint_mix_losses(B):
+    # the batched endpoints give exactly the clipped rule on mix_loss_squared
+    rng = np.random.default_rng(23)
+    mixes = [_random_scalar_mixture(rng, k) for k in (1, 1, 2, 5, 40)]
+    mixes.append(ScalarGaussianMixture([0.0, -np.inf, np.log(0.5)], [0.3, -1.0, 2.5], [0.2, 1.0, 0.0]))
+    mixes.append(ScalarGaussianMixture.from_weights([1.0], [50.0 * B], [0.1]))  # clipped at +B
+    mixes.append(ScalarGaussianMixture.from_weights([1.0], [-50.0 * B], [0.1]))  # clipped at -B
+    for mix in mixes:
+        z = (mix_loss_squared(mix, -B, B).value - mix_loss_squared(mix, B, B).value) / (4.0 * B)
+        assert predict_squared_1d(mix, B) == float(np.clip(z, -B, B))
+
+
 def test_zero_weight_component_is_inert():
     # a zero weight is a log weight of -inf, taken without a RuntimeWarning
     padded = ScalarGaussianMixture.from_weights([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -175,3 +180,28 @@ def test_mix_factors_bounded_by_one():
         X, y = np.vstack([X, x]), np.append(y, ylog)
         mode, hessian = _refit_one(mode, X, y)
         qp = quad_update(qp, DataPoint(x, ysq), 1.0)
+
+
+_LAZY_RULE_CHILD = """
+import sys
+import numpy as np
+from mixshare import bench, posterior
+seen = {}
+for task, d in (("squared1d", 1), ("oco_quadratic", 2), ("logistic", 2)):
+    algorithms = ("oco",) if task == "oco_quadratic" else ("fixed_share",)
+    bench.run_experiment(bench.ExperimentConfig(task=task, d=d, T=20, algorithms=algorithms))
+    seen[task] = "numpy.polynomial" in sys.modules
+from numpy.polynomial.hermite import hermgauss
+nodes, weights = posterior.gauss_hermite_rule()
+want = hermgauss(64)
+print(seen["squared1d"], seen["oco_quadratic"], seen["logistic"],
+      np.array_equal(nodes, want[0]) and np.array_equal(weights, want[1]), nodes.flags.writeable)
+"""
+
+
+def test_gauss_hermite_rule_is_built_on_first_logistic_use():
+    # quadratic runs never import numpy.polynomial; the logistic run builds hermgauss(64) exactly
+    src = pathlib.Path(posterior.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _LAZY_RULE_CHILD], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False", "True", "True", "False"]
