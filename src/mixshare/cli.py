@@ -131,6 +131,16 @@ def run_suite(name: str, seed: int = 0) -> bool:
     return all_ok
 
 
+def _read_config(path: str) -> str:
+    """The config file's text; a file that cannot be read as UTF-8 text is a ``ConfigError``."""
+    try:
+        return pathlib.Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise bench.ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise bench.ConfigError(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="mixshare")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -154,7 +164,7 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return 0 if run_suite(args.suite, args.seed) else 1
     try:
-        cfg = bench.parse_config(pathlib.Path(args.config).read_text())
+        cfg = bench.parse_config(_read_config(args.config))
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
 

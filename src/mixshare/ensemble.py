@@ -73,6 +73,7 @@ class FixedShareMixture:
         self._births = np.empty(cap, dtype=np.int64)
         self._means = np.empty((cap, d))
         self._covs = np.empty((cap, d, d))
+        self._eye = _read_only(np.eye(d))  # the newborn's covariance
         self._spawn(0.0)
 
     def _spawn(self, log_w: float):
@@ -88,7 +89,7 @@ class FixedShareMixture:
         self._log_w[k] = log_w
         self._births[k] = self.round
         self._means[k] = self.w0
-        self._covs[k] = np.eye(self.w0.size)
+        self._covs[k] = self._eye
         self._k = k + 1
 
     def fixed_share(self, log_factors: np.ndarray):

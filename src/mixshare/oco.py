@@ -4,10 +4,11 @@ Each round predicts the mixture mean, tilts every Gaussian component in
 closed form by the exponential weight of the quadratic surrogate built
 from the observed gradient, repairs each component in place back into
 the constraint family (means inside the domain, covariance eigenvalues
-in [1/T, 1]), and mixes in the anchor.  The repair is one batched
-``eigh`` over the live components; the closing membership check tests
-the eigenvalue band with two batched Cholesky factorizations instead of
-a second eigendecomposition.
+in [1/T, 1]), and mixes in the anchor.  The repair screens the live
+components with one values-only ``eigvalsh`` and runs ``eigh`` only on
+those whose spectrum leaves the band; the closing membership check tests
+the band with two batched Cholesky factorizations instead of a second
+eigendecomposition.
 The state is an ``ensemble.FixedShareMixture``, the same buffered mixture
 the ensemble uses: ``oco_round`` tilts and repairs its live components in
 place and closes the round with the shared fixed-share step, so no
@@ -115,12 +116,20 @@ def ew_update_surrogate(mix: GaussianMixture, g: np.ndarray, w_ref: np.ndarray, 
 def approx_project_to_M(mix: GaussianMixture, domain: DomainSpec, T: int) -> None:
     """Per-component repair in place: project ``mix.means`` onto the ball and
     clamp the eigenvalues of ``mix.covs`` to [1/T, 1] in the eigenbasis;
-    weights unchanged."""
+    weights unchanged.
+
+    One values-only ``eigvalsh`` of the stack finds the components whose
+    spectrum leaves [1/T, 1]; only those are eigendecomposed and rebuilt.
+    The clamp is the identity on the others, so they are left untouched.
+    """
     mix.means[:] = domain.project(mix.means)
-    eigvals, eigvecs = np.linalg.eigh(mix.covs)
-    eigvals = np.clip(eigvals, 1.0 / T, 1.0)
-    covs = (eigvecs * eigvals[:, None, :]) @ np.swapaxes(eigvecs, 1, 2)
-    mix.covs[:] = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+    eigs = np.linalg.eigvalsh(mix.covs)  # ascending
+    out = np.flatnonzero((eigs[:, 0] < 1.0 / T) | (eigs[:, -1] > 1.0))
+    if out.size:
+        eigvals, eigvecs = np.linalg.eigh(mix.covs[out])
+        eigvals = np.clip(eigvals, 1.0 / T, 1.0)
+        covs = (eigvecs * eigvals[:, None, :]) @ np.swapaxes(eigvecs, 1, 2)
+        mix.covs[out] = 0.5 * (covs + np.swapaxes(covs, 1, 2))
 
 
 def oco_round(s: OcoState, grad_oracle) -> tuple:

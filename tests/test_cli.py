@@ -101,6 +101,26 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert captured.err == "mixshare: config error: line 2: unknown key 'unknown_key'\n"
 
 
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_bytes(b"task = squared1d\n\xff\n"), "not UTF-8 text"),
+    ],
+    ids=["missing", "directory", "not_utf8"],
+)
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "T"]], ids=["run", "sweep"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, make, reason, command):
+    path = tmp_path / "exp.cfg"
+    make(path)
+    assert cli.main([command[0], "--config", str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"mixshare: config error: cannot read {path}: {reason}")
+    assert captured.err.count("\n") == 1
+
+
 def test_run_exits_2_on_invalid_value(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("task = oco_quadratic\nd = 2\nalgorithms = fixed_share\n")

@@ -114,6 +114,18 @@ def test_projection_clamps_eigenvalues_and_means():
     assert eigs[0] == pytest.approx(1.0 / T)
     assert eigs[1] == pytest.approx(1.0)
 
+    # three components, the middle one's spectrum leaves [1/T, 1]: only its
+    # covariance changes, and the in-band two keep every bit
+    covs = _rotated_covs([(0.2, 0.5, 0.9), (0.05, 0.5, 1.5), (0.15, 0.3, 0.95)], seed=51)
+    mix = GaussianMixture(np.full(3, -np.log(3)), np.zeros((3, 3)), covs.copy())
+    oco.approx_project_to_M(mix, DomainSpec(3, 1.0), T)
+    assert np.array_equal(mix.covs[[0, 2]], covs[[0, 2]])
+    assert not np.allclose(mix.covs[1], covs[1])
+    eigs = np.linalg.eigvalsh(mix.covs[1])
+    assert eigs[0] == pytest.approx(1.0 / T, rel=1e-12)
+    assert eigs[-1] == pytest.approx(1.0, rel=1e-12)
+    assert np.all((eigs >= 1.0 / T - 1e-12) & (eigs <= 1.0 + 1e-12))
+
 
 def test_projection_is_identity_inside_constraints():
     dom = DomainSpec(2, 1.0)
@@ -121,8 +133,8 @@ def test_projection_is_identity_inside_constraints():
     before = GaussianMixture(mix.log_w.copy(), mix.means.copy(), mix.covs.copy())
     oco.approx_project_to_M(mix, dom, T=10)
     assert np.array_equal(mix.log_w, before.log_w)
-    assert np.allclose(mix.means, before.means)
-    assert np.allclose(mix.covs, before.covs)
+    assert np.array_equal(mix.means, before.means)
+    assert np.array_equal(mix.covs, before.covs)
 
 
 def test_fixed_share_anchor_weights():
@@ -247,32 +259,44 @@ def test_validate_band_matches_eigvalsh(d, T, values, seed):
     assert _validate_verdict(covs, T, tol) == _eigvalsh_band_verdict(covs, T, tol)
 
 
-def test_oco_run_needs_one_eigh_per_round_and_no_eigvalsh(monkeypatch):
-    # an oco_d3-shaped run: the band check never falls back to eigvalsh, and
-    # the repair is the round's only eigendecomposition
+def test_oco_run_screens_with_one_eigvalsh_and_eigh_only_out_of_band(monkeypatch):
+    # an oco_d3-shaped run: each repair screens the stack with one eigvalsh
+    # (the band check never falls back to it), and eigh sees exactly the
+    # components that the screen puts outside [1/T, 1]
     cfg = bench.ExperimentConfig(
         task="oco_quadratic", d=3, T=40, R=1.0, noise_sd=0.3, drift="rotating:0.01", algorithms=("oco",)
     )
     want = bench.run_experiment(cfg).reports["oco"].learner_loss
-    calls = {"eigh": 0, "repair": 0}
-    eigh, repair = np.linalg.eigh, oco.approx_project_to_M
+    eigh, eigvalsh, repair = np.linalg.eigh, np.linalg.eigvalsh, oco.approx_project_to_M
+    calls = {"eigvalsh": 0, "repair": 0}
+    screened, decomposed = [], []  # out-of-band counts per screen; eigh input sizes
 
-    def counting_eigh(*args, **kwargs):
-        calls["eigh"] += 1
-        return eigh(*args, **kwargs)
+    def out_of_band(eigs):
+        return (eigs[:, 0] < 1.0 / cfg.T) | (eigs[:, -1] > 1.0)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls["eigvalsh"] += 1
+        eigs = eigvalsh(a, *args, **kwargs)
+        screened.append(int(np.count_nonzero(out_of_band(eigs))))
+        return eigs
+
+    def checking_eigh(a, *args, **kwargs):
+        assert out_of_band(eigvalsh(a)).all(), "eigh on an in-band component"
+        assert len(a) == screened[-1], "eigh input is not the last screen's out-of-band set"
+        decomposed.append(len(a))
+        return eigh(a, *args, **kwargs)
 
     def counting_repair(*args, **kwargs):
         calls["repair"] += 1
         return repair(*args, **kwargs)
 
-    def no_eigvalsh(*args, **kwargs):
-        raise AssertionError("eigvalsh called on a valid mixture")
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigh", checking_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(oco, "approx_project_to_M", counting_repair)
     got = bench.run_experiment(cfg).reports["oco"].learner_loss
-    assert calls == {"eigh": cfg.T, "repair": cfg.T}
+    assert calls == {"eigvalsh": cfg.T, "repair": cfg.T}
+    assert sum(decomposed) == sum(screened)  # no out-of-band component skipped
+    assert 0 < len(decomposed) < cfg.T  # rounds with and without a clamp
     assert np.array_equal(got, want)
 
 
@@ -302,13 +326,18 @@ def _oco_run(T, rounds, seed, d=3, R=1.0):
 
 
 @pytest.mark.parametrize("R", [1.0, 0.01], ids=["repair_idle", "repair_active"])
-def test_oco_round_matches_copy_and_concatenate_recursion(R):
+def test_oco_round_matches_copy_and_concatenate_recursion(R, monkeypatch):
     # the recursion with fresh arrays every round: tilt copies, normalize,
-    # repair, then append the anchor and renormalize; at R = 0.01 the
-    # surrogate coefficient is large, so the repair moves means and clamps
-    # covariance eigenvalues in most rounds
+    # repair every component, then append the anchor and renormalize; at
+    # R = 0.01 the surrogate coefficient is large, so the repair moves means
+    # and clamps covariance eigenvalues in most rounds
     T, d = 30, 3
-    s, preds = _oco_run(T, T, seed=47, R=R)
+    eigh, eigh_calls = np.linalg.eigh, []
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", lambda a: eigh_calls.append(len(a)) or eigh(a))
+        s, preds = _oco_run(T, T, seed=47, R=R)
+    if R == 0.01:
+        assert eigh_calls, "the clamp path never ran"
     rng = np.random.default_rng(47)
     dom = DomainSpec(d, R)
     gamma, mu = s.gamma, 1.0 / T
