@@ -1,7 +1,6 @@
 """Online learning with continuous exponential weights and fixed share."""
 
 from .core import (
-    ComparatorSequence,
     DataPoint,
     DomainSpec,
     LossKind,
@@ -14,7 +13,6 @@ from .core import (
 from .gaussian import GaussianDist, entropy, kl_divergence
 
 __all__ = [
-    "ComparatorSequence",
     "DataPoint",
     "DomainSpec",
     "GaussianDist",

@@ -1,10 +1,13 @@
 """Experiment harness: synthetic non-stationary streams with known
 comparators, the run loop over all learners, and CSV/summary emission.
 
-The comparator for regret is always the generating ground-truth sequence;
-it is the only comparator whose path length is known at generation time.
-CSV output is byte-deterministic given (config, seed); per-round wall
-clock is nondeterministic by nature and therefore goes to a separate
+The comparator for regret is always the generating ground-truth sequence,
+a (T, d) array; it is the only comparator whose path length is known at
+generation time.  Every task's stream is T ``DataPoint``s; an
+``oco_quadratic`` point carries its round's target c as ``x``, with y = 0.
+Every learner runs in one timed round loop, ``_timed_rounds``.  CSV
+output is byte-deterministic given (config, seed); per-round wall clock
+is nondeterministic by nature and therefore goes to a separate
 ``*.timing.csv`` sidecar, with the CSV column pinned to 0.
 """
 
@@ -17,7 +20,6 @@ import numpy as np
 
 from . import baselines, ensemble, forecasters, oco
 from .core import (
-    ComparatorSequence,
     DataPoint,
     DomainSpec,
     LossKind,
@@ -53,6 +55,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; choose from {TASKS}")
+        for key in ("d", "T", "seed"):
+            val = getattr(self, key)
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+                raise ConfigError(f"{key} must be an integer, got {val!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         for key in ("d", "T", "B", "L", "R", "jump_norm"):
             val = getattr(self, key)
             if val is not None and not 0 < val < np.inf:
@@ -75,8 +83,10 @@ class ExperimentConfig:
             object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not self.algorithms:
             raise ConfigError("algorithms must name at least one algorithm")
-        for algorithm in self.algorithms:
+        for i, algorithm in enumerate(self.algorithms):
             _parse_algorithm(algorithm, self.task)
+            if algorithm in self.algorithms[:i]:
+                raise ConfigError(f"duplicate algorithm {algorithm!r}")
 
     def loss_spec(self) -> LossSpec:
         if self.task == "squared1d":
@@ -172,10 +182,9 @@ def _parse_algorithm(algorithm: str, task: str):
 
 @dataclass(frozen=True)
 class StreamBundle:
-    points: list  # T DataPoints (for oco_quadratic, x is unused and y = 0)
-    comparators: ComparatorSequence
+    points: list  # T DataPoints; for oco_quadratic, x is the target c_t and y = 0
+    comparators: np.ndarray  # (T, d) generating comparators u_t, all inside the domain
     path_length: float
-    centers: np.ndarray | None = None  # oco_quadratic targets c_t, shape (T, d)
 
 
 def _ball_point(rng: np.random.Generator, d: int, R: float) -> np.ndarray:
@@ -184,29 +193,25 @@ def _ball_point(rng: np.random.Generator, d: int, R: float) -> np.ndarray:
     return r * g / np.linalg.norm(g)
 
 
-def _comparator_path(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
+def _comparator_path(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     kind, arg = _parse_drift(cfg.drift)
     d, T, R = cfg.d, cfg.T, cfg.R
+    us = np.zeros((T, d))
     if kind == "rotating":
         r0 = 0.5 * R
         theta0 = rng.uniform(0.0, 2.0 * np.pi)
-        if d == 1:
-            return [np.array([r0 * np.cos(theta0 + arg * t)]) for t in range(T)]
-        us = []
-        for t in range(T):
-            u = np.zeros(d)
+        for t, u in enumerate(us):
             u[0] = r0 * np.cos(theta0 + arg * t)
-            u[1] = r0 * np.sin(theta0 + arg * t)
-            us.append(u)
+            u[1:2] = r0 * np.sin(theta0 + arg * t)  # an empty slice at d = 1
         return us
 
     u = _ball_point(rng, d, 0.5 * R)
     if kind == "stationary":
-        return [u.copy() for _ in range(T)]
+        us[:] = u
+        return us
 
     delta = cfg.jump_norm if cfg.jump_norm is not None else 0.5 * R
     switches = set((rng.choice(np.arange(1, T), size=arg, replace=False)).tolist())
-    us = []
     for t in range(T):
         if t in switches:
             for _ in range(1000):
@@ -218,7 +223,7 @@ def _comparator_path(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
             else:
                 # delta <= R, so the jump toward the centre lands inside the ball
                 u = u - delta * u / np.linalg.norm(u)
-        us.append(u.copy())
+        us[t] = u
     return us
 
 
@@ -227,113 +232,113 @@ def generate_stream(cfg: ExperimentConfig) -> StreamBundle:
     label constraints by construction."""
     rng = np.random.default_rng(cfg.seed)
     us = _comparator_path(cfg, rng)
-    d, T = cfg.d, cfg.T
-
-    if cfg.task == "oco_quadratic":
-        centers = np.empty((T, d))
-        points = []
-        for t in range(T):
-            noise = cfg.noise_sd * rng.standard_normal(d)
-            c = us[t] + noise
+    points = []
+    for u in us:
+        if cfg.task == "oco_quadratic":
+            # the target c: the comparator plus noise, pulled back into the ball
+            c = u + cfg.noise_sd * rng.standard_normal(cfg.d)
             if np.linalg.norm(c) > cfg.R:
                 c = c * (cfg.R / np.linalg.norm(c))
-            centers[t] = c
-            points.append(DataPoint(np.zeros(d), 0.0))
-        comp = ComparatorSequence(us)
-        return StreamBundle(points, comp, path_length(comp), centers=centers)
-
-    points = []
-    for t in range(T):
+            points.append(DataPoint(c, 0.0))
+            continue
         if cfg.task == "squared1d":
             x = np.ones(1)
         else:
-            g = rng.standard_normal(d)
+            g = rng.standard_normal(cfg.d)
             x = cfg.L * g / np.linalg.norm(g)
-        score = float(us[t] @ x)
+        score = float(u @ x)
         if cfg.task == "logistic":
             p = 1.0 / (1.0 + np.exp(-score))
             y = 1.0 if rng.uniform() < p else -1.0
         else:
             y = float(np.clip(score + cfg.noise_sd * rng.standard_normal(), -cfg.B, cfg.B))
         points.append(DataPoint(x, y))
-    comp = ComparatorSequence(us)
-    return StreamBundle(points, comp, path_length(comp))
+    return StreamBundle(points, us, path_length(us))
 
 
 # ---------------------------------------------------------------------------
 # per-algorithm run loops
 
 
+def _oco_loss(w: np.ndarray, c: np.ndarray) -> float:
+    """The oco_quadratic loss (1/2)||w - c||^2 of the point w at target c."""
+    return 0.5 * float(np.sum((w - c) ** 2))
+
+
 def _comparator_losses(cfg: ExperimentConfig, bundle: StreamBundle) -> np.ndarray:
-    spec = None if cfg.task == "oco_quadratic" else cfg.loss_spec()
-    out = np.empty(cfg.T)
-    for t, (pt, u) in enumerate(zip(bundle.points, bundle.comparators.u)):
-        if cfg.task == "oco_quadratic":
-            out[t] = 0.5 * float(np.sum((u - bundle.centers[t]) ** 2))
-        else:
-            out[t] = spec.loss(float(u @ pt.x), pt.y)
-    return out
+    rounds = zip(bundle.comparators, bundle.points)
+    if cfg.task == "oco_quadratic":
+        return np.array([_oco_loss(u, pt.x) for u, pt in rounds])
+    spec = cfg.loss_spec()
+    return np.array([spec.loss(float(u @ pt.x), pt.y) for u, pt in rounds])
+
+
+def _timed_rounds(points: list, step) -> tuple:
+    """Run ``step(t, pt) -> loss`` over the stream; returns the per-round
+    losses and the wall-clock nanoseconds of each step call."""
+    losses = np.empty(len(points))
+    nanos = np.zeros(len(points), dtype=np.int64)
+    for t, pt in enumerate(points):
+        tic = time.perf_counter_ns()
+        losses[t] = step(t, pt)
+        nanos[t] = time.perf_counter_ns() - tic
+    return losses, nanos
 
 
 def _run_ensemble(cfg: ExperimentConfig, bundle: StreamBundle, mu: float | None):
     spec = cfg.loss_spec()
     state = ensemble.init(spec, cfg.domain(), cfg.T, mu=mu)
-    losses = np.empty(cfg.T)
-    nanos = np.zeros(cfg.T, dtype=np.int64)
-    for t, pt in enumerate(bundle.points):
-        tic = time.perf_counter_ns()
+
+    def step(t, pt):
+        nonlocal state
         smix = ensemble.pushforward_mixture(state, pt.x)
         if spec.kind == LossKind.LOGISTIC:
             z = forecasters.predict_logistic(smix)
         else:
             z = forecasters.predict_squared_1d(smix, cfg.B)
-        losses[t] = spec.loss(z, pt.y)
+        loss = spec.loss(z, pt.y)
         if t < cfg.T - 1:
             state = ensemble.observe(state, pt)
-        nanos[t] = time.perf_counter_ns() - tic
-    return losses, nanos
+        return loss
+
+    return _timed_rounds(bundle.points, step)
 
 
 def _run_ogd(cfg: ExperimentConfig, bundle: StreamBundle, schedule, step_param: float):
     spec = None if cfg.task == "oco_quadratic" else cfg.loss_spec()
     state = baselines.init_ogd(cfg.domain(), schedule, step_param)
-    losses = np.empty(cfg.T)
-    nanos = np.zeros(cfg.T, dtype=np.int64)
-    for t, pt in enumerate(bundle.points):
-        tic = time.perf_counter_ns()
-        if cfg.task == "oco_quadratic":
-            c = bundle.centers[t]
-            losses[t] = 0.5 * float(np.sum((state.w - c) ** 2))
-            g = state.w - c
+
+    def step(t, pt):
+        nonlocal state
+        if spec is None:
+            loss = _oco_loss(state.w, pt.x)
+            g = state.w - pt.x
         elif spec.kind == LossKind.LOGISTIC:
             z = float(state.w @ pt.x)
-            losses[t] = spec.loss(z, pt.y)
+            loss = spec.loss(z, pt.y)
             sig = 1.0 / (1.0 + np.exp(pt.y * z))
             g = -pt.y * sig * pt.x
         else:
             score = float(state.w @ pt.x)
             z = float(np.clip(score, -cfg.B, cfg.B))
-            losses[t] = spec.loss(z, pt.y)
+            loss = spec.loss(z, pt.y)
             g = 2.0 * (score - pt.y) * pt.x
         state = baselines.ogd_step(state, g)
-        nanos[t] = time.perf_counter_ns() - tic
-    return losses, nanos
+        return loss
+
+    return _timed_rounds(bundle.points, step)
 
 
 def _run_oco(cfg: ExperimentConfig, bundle: StreamBundle):
     domain = cfg.domain()
-    G = 2.0 * cfg.R
-    eta = 1.0 / (domain.diameter**2)
-    state = oco.init_oco(domain, cfg.T, eta=eta, G=G)
-    losses = np.empty(cfg.T)
-    nanos = np.zeros(cfg.T, dtype=np.int64)
-    for t in range(cfg.T):
-        tic = time.perf_counter_ns()
-        c = bundle.centers[t]
-        w_t, state = oco.oco_round(state, lambda w: w - c)
-        losses[t] = 0.5 * float(np.sum((w_t - c) ** 2))
-        nanos[t] = time.perf_counter_ns() - tic
-    return losses, nanos
+    state = oco.init_oco(domain, cfg.T, eta=1.0 / (domain.diameter**2), G=2.0 * cfg.R)
+
+    def step(t, pt):
+        nonlocal state
+        w_t, state = oco.oco_round(state, lambda w: w - pt.x)
+        return _oco_loss(w_t, pt.x)
+
+    return _timed_rounds(bundle.points, step)
 
 
 def _dispatch(cfg: ExperimentConfig, bundle: StreamBundle, algorithm: str):

@@ -3,6 +3,7 @@
 Everything here is an immutable value object; the operations are pure
 functions shared by all learners and the benchmark harness.  A
 ``LossSpec`` fixes its family's learning rate, admissible labels and loss.
+A comparator sequence is a plain (T, d) array, one comparator per row.
 """
 
 from __future__ import annotations
@@ -140,14 +141,6 @@ class DataPoint:
 
 
 @dataclass(frozen=True)
-class ComparatorSequence:
-    u: list  # list of np.ndarray, all inside the domain
-
-    def __len__(self) -> int:
-        return len(self.u)
-
-
-@dataclass(frozen=True)
 class RegretReport:
     learner_loss: np.ndarray
     comparator_loss: np.ndarray
@@ -168,13 +161,12 @@ def logistic_loss(z, y):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def path_length(seq: ComparatorSequence) -> float:
-    """Sum of Euclidean distances between consecutive comparators."""
-    if len(seq) == 0:
+def path_length(comparators) -> float:
+    """Sum of Euclidean distances between consecutive comparators, given as a
+    (T, d) array or a list of T rows."""
+    u = np.asarray(comparators, dtype=float)
+    if len(u) == 0:
         raise ValueError("comparator sequence must be non-empty")
-    if len(seq) == 1:
-        return 0.0
-    u = np.asarray(seq.u, dtype=float)
     return float(np.sum(np.linalg.norm(np.diff(u, axis=0), axis=1)))
 
 

@@ -139,14 +139,6 @@ def tilt_in_place(means: np.ndarray, covs: np.ndarray, cov_x: np.ndarray, mu: np
     return log_factors
 
 
-def tilt_rank_one(means: np.ndarray, covs: np.ndarray, x: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
-    """Tilt every N(means[i], covs[i]) by exp(-a s^2 - b s), s = x'w - c, in
-    place: the pushforward along x, then ``tilt_in_place``.  Returns the
-    per-component log normalizers."""
-    cov_x, xm, v = pushforward_stack(means, covs, x)
-    return tilt_in_place(means, covs, cov_x, xm - c, v, a, b)
-
-
 def logsumexp(a, axis=None, b=None):
     """ln sum(b * exp(a)) over ``axis`` (all entries when None).
 

@@ -29,7 +29,7 @@ import numpy as np
 from .core import DimensionError, DomainSpec
 from .ensemble import FixedShareMixture, HorizonExceededError
 from .forecasters import GaussianMixture
-from .gaussian import LOG_2PI, logsumexp, tilt_rank_one
+from .gaussian import LOG_2PI, logsumexp, pushforward_stack, tilt_in_place
 
 
 class ConstraintViolationError(ValueError):
@@ -106,11 +106,13 @@ def ew_update_surrogate(mix: GaussianMixture, g: np.ndarray, w_ref: np.ndarray, 
     """Exact Gaussian tilt of every component, in place, by exp(-gamma f / 2)
     for the surrogate f(w) = s + (gamma/2) s^2, s = g'(w - w_ref).
 
-    The tilt is exp(-a s^2 - b s) for a = gamma^2/4 and b = gamma/2:
-    ``gaussian.tilt_rank_one`` along g.  Returns the per-component log
-    factors; the caller owns the weights.
+    The tilt is exp(-a s^2 - b s) for a = gamma^2/4 and b = gamma/2: the
+    pushforward along g (``gaussian.pushforward_stack``), then
+    ``gaussian.tilt_in_place`` on the shifted means g'm - g'w_ref.  Returns
+    the per-component log factors; the caller owns the weights.
     """
-    return tilt_rank_one(mix.means, mix.covs, g, gamma * gamma / 4.0, gamma / 2.0, float(g @ w_ref))
+    cov_x, gm, v = pushforward_stack(mix.means, mix.covs, g)
+    return tilt_in_place(mix.means, mix.covs, cov_x, gm - float(g @ w_ref), v, gamma * gamma / 4.0, gamma / 2.0)
 
 
 def approx_project_to_M(mix: GaussianMixture, domain: DomainSpec, T: int) -> None:

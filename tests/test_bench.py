@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mixshare import bench
+from mixshare import baselines, bench, oco
 from mixshare.core import dynamic_regret, path_length
 
 
@@ -130,12 +130,28 @@ def test_config_validation():
         "algorithms = ogd_constant:nan",
         "algorithms = ogd_inverse_t:-1",
         "algorithms = oco",
+        "algorithms = fixed_share, static_ew, fixed_share",
     ],
 )
 def test_config_rejects_invalid_values(line):
     # each line alone makes an otherwise default least_squares config invalid
     with pytest.raises(bench.ConfigError):
         bench.parse_config(f"task = least_squares\n{line}\n")
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"T": 20.5}, {"d": 2.5}, {"seed": 1.5}, {"T": True}, {"d": np.float64(2.0)}, {"seed": -1}],
+    ids=["T_float", "d_float", "seed_float", "T_bool", "d_numpy_float", "seed_negative"],
+)
+def test_config_rejects_bad_integer_fields(changes):
+    with pytest.raises(bench.ConfigError, match=next(iter(changes))):
+        bench.ExperimentConfig(task="least_squares", B=2.0, **changes)
+
+
+def test_config_accepts_numpy_integer_fields():
+    cfg = bench.ExperimentConfig(task="least_squares", d=np.int64(2), T=np.int32(5), B=2.0, seed=np.uint8(7))
+    assert len(bench.run_experiment(cfg).reports["fixed_share"].learner_loss) == 5
 
 
 def test_stationary_stream_has_zero_path_length():
@@ -160,7 +176,7 @@ def test_jump_of_radius_is_placed_in_high_dimension():
     cfg = bench.ExperimentConfig(
         task="least_squares", d=200, T=30, B=30.0, R=1.0, drift="piecewise:10", jump_norm=1.0, seed=0
     )
-    us = np.array(bench.generate_stream(cfg).comparators.u)
+    us = bench.generate_stream(cfg).comparators
     steps = np.linalg.norm(np.diff(us, axis=0), axis=1)
     assert np.allclose(steps[steps > 0.0], 1.0, rtol=1e-12) and np.count_nonzero(steps) == 10
     assert cfg.domain().contains(us, tol=1e-12)
@@ -171,7 +187,7 @@ def test_comparators_stay_in_domain():
         cfg = bench.ExperimentConfig(task="least_squares", d=2, T=60, B=2.0, R=1.0, drift=drift, seed=3)
         bundle = bench.generate_stream(cfg)
         dom = cfg.domain()
-        for u in bundle.comparators.u:
+        for u in bundle.comparators:
             assert dom.contains(u, tol=1e-12)
 
 
@@ -215,6 +231,58 @@ def test_run_experiment_oco_task():
     )
     result = bench.run_experiment(cfg)
     assert np.all(result.reports["oco"].learner_loss >= 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_oco_stream_carries_targets_in_points(d):
+    # noise_sd = 1 sends many targets outside the ball, to be pulled back onto it
+    cfg = bench.ExperimentConfig(
+        task="oco_quadratic", d=d, T=50, R=1.0, noise_sd=1.0, drift="rotating:0.05", seed=11, algorithms=("oco",)
+    )
+    bundle = bench.generate_stream(cfg)
+    assert isinstance(bundle.comparators, np.ndarray)
+    assert bundle.comparators.shape == (cfg.T, d) and bundle.comparators.dtype == float
+    targets = np.array([pt.x for pt in bundle.points])
+    assert targets.shape == (cfg.T, d)
+    assert cfg.domain().contains(targets, tol=1e-12)
+    assert np.isclose(np.linalg.norm(targets, axis=1), cfg.R).any()
+    assert all(pt.y == 0.0 for pt in bundle.points)
+
+
+def test_oco_task_losses_match_hand_driven_learners():
+    cfg = bench.ExperimentConfig(
+        task="oco_quadratic", d=2, T=40, R=1.0, noise_sd=0.3, drift="rotating:0.05", seed=12,
+        algorithms=("oco", "ogd_constant:0.2"),
+    )
+    result = bench.run_experiment(cfg)
+    bundle = bench.generate_stream(cfg)
+    dom = cfg.domain()
+    s = oco.init_oco(dom, cfg.T, eta=1.0 / dom.diameter**2, G=2.0 * dom.R)
+    ogd = baselines.init_ogd(dom, baselines.StepSchedule.CONSTANT, 0.2)
+    oco_losses, ogd_losses = [], []
+    for pt in bundle.points:
+        w_t, s = oco.oco_round(s, lambda w: w - pt.x)
+        oco_losses.append(0.5 * np.sum((w_t - pt.x) ** 2))
+        ogd_losses.append(0.5 * np.sum((ogd.w - pt.x) ** 2))
+        ogd = baselines.ogd_step(ogd, ogd.w - pt.x)
+    assert np.array_equal(result.reports["oco"].learner_loss, oco_losses)
+    assert np.array_equal(result.reports["ogd_constant:0.2"].learner_loss, ogd_losses)
+    comp = [0.5 * np.sum((u - pt.x) ** 2) for u, pt in zip(bundle.comparators, bundle.points)]
+    for rep in result.reports.values():
+        assert np.array_equal(rep.comparator_loss, comp)
+
+
+@pytest.mark.parametrize(
+    "task, algorithms",
+    [("squared1d", ("fixed_share", "ogd_constant")), ("oco_quadratic", ("oco", "ogd_inverse_t"))],
+)
+def test_every_algorithm_times_every_round(task, algorithms):
+    cfg = bench.ExperimentConfig(task=task, T=20, seed=13, algorithms=algorithms)
+    wallclock = bench.run_experiment(cfg).wallclock_ns
+    for algo in algorithms:
+        ns = wallclock[algo]
+        assert ns.shape == (cfg.T,) and ns.dtype == np.int64
+        assert np.all(ns > 0), f"{algo}: a round has no clock"
 
 
 def test_algorithm_task_mismatch():

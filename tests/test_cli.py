@@ -130,6 +130,24 @@ def test_run_exits_2_on_invalid_value(tmp_path, capsys):
     assert captured.err.startswith("mixshare: config error: algorithm 'fixed_share'")
 
 
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        ("seed = -1\n", ["run"], "seed must be nonnegative, got -1"),
+        ("", ["run", "--seed", "-1"], "seed must be nonnegative, got -1"),
+        ("", ["sweep", "--axis", "T", "--seed", "-1"], "seed must be nonnegative, got -1"),
+        ("algorithms = fixed_share, fixed_share\n", ["run"], "duplicate algorithm 'fixed_share'"),
+    ],
+    ids=["seed_in_file", "seed_flag_run", "seed_flag_sweep", "repeated_algorithm"],
+)
+def test_invalid_seed_or_algorithms_exit_2(tmp_path, capsys, text, argv, message):
+    path = _write_config(tmp_path, "task = squared1d\nT = 30\n" + text)
+    assert cli.main([argv[0], "--config", path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"mixshare: config error: {message}\n"
+
+
 def test_entry_points_import_without_scipy_special():
     # scipy is a test dependency only: importing scipy.linalg takes a
     # process's peak RSS from 27 MB to 55 MB (numpy 2.4, scipy 1.17), more

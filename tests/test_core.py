@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mixshare.core import (
-    ComparatorSequence,
     DataPoint,
     DomainSpec,
     LabelRangeError,
@@ -136,17 +135,20 @@ def test_data_point_keeps_a_read_only_copy_of_x():
 
 
 def test_path_length_stationary_is_zero():
-    seq = ComparatorSequence([np.zeros(2)] * 5)
-    assert path_length(seq) == 0.0
+    assert path_length(np.zeros((5, 2))) == 0.0
 
 
 def test_path_length_known_jumps():
-    seq = ComparatorSequence([np.zeros(1), np.ones(1), np.ones(1), np.array([-1.0])])
-    assert path_length(seq) == pytest.approx(3.0)
+    # a list of rows or the (T, d) array it stacks to
+    rows = [np.zeros(1), np.ones(1), np.ones(1), np.array([-1.0])]
+    assert path_length(rows) == pytest.approx(3.0)
+    assert path_length(np.array(rows)) == path_length(rows)
 
 
 def test_path_length_single_point():
-    assert path_length(ComparatorSequence([np.zeros(1)])) == 0.0
+    assert path_length(np.zeros((1, 1))) == 0.0
+    with pytest.raises(ValueError, match="non-empty"):
+        path_length(np.zeros((0, 1)))
 
 
 def test_dynamic_regret_constant_gap():

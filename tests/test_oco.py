@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mixshare import bench, ensemble, oco
 from mixshare.core import DimensionError, DomainSpec
 from mixshare.forecasters import GaussianMixture
-from mixshare.gaussian import LOG_2PI, logsumexp, tilt_rank_one
+from mixshare.gaussian import LOG_2PI, logsumexp
 
 
 def _single_component(mean, cov):
@@ -348,7 +348,7 @@ def test_oco_round_matches_copy_and_concatenate_recursion(R, monkeypatch):
         assert np.allclose(preds[t], w_t, rtol=0.0, atol=1e-12)
         g = w_t - c
         means, covs = means.copy(), covs.copy()
-        log_w = log_w + tilt_rank_one(means, covs, g, gamma * gamma / 4.0, gamma / 2.0, float(g @ w_t))
+        log_w = log_w + oco.ew_update_surrogate(GaussianMixture(log_w, means, covs), g, w_t, gamma)
         log_w = log_w - logsumexp(log_w)
         means = dom.project(means)
         eigvals, eigvecs = np.linalg.eigh(covs)
