@@ -7,7 +7,6 @@ from .core import (
     LossSpec,
     RegretReport,
     dynamic_regret,
-    loss_eval,
     path_length,
 )
 from .gaussian import GaussianDist, entropy, kl_divergence
@@ -22,7 +21,6 @@ __all__ = [
     "dynamic_regret",
     "entropy",
     "kl_divergence",
-    "loss_eval",
     "path_length",
 ]
 

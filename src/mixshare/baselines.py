@@ -1,15 +1,14 @@
-"""Comparison learners: projected online gradient descent and the
-no-fixed-share (mu = 0) exponential-weights ablation."""
+"""Comparison learner: projected online gradient descent, advanced in place.
+The no-fixed-share (mu = 0) ablation is ``ensemble.init(..., mu=0.0)``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import DomainSpec, LossSpec
-from . import ensemble
+from .core import DomainSpec
 
 
 class StepSchedule(Enum):
@@ -17,7 +16,7 @@ class StepSchedule(Enum):
     INVERSE_T = "inverse_t"
 
 
-@dataclass(frozen=True)
+@dataclass
 class OgdState:
     w: np.ndarray
     domain: DomainSpec
@@ -36,15 +35,10 @@ def init_ogd(domain: DomainSpec, schedule: StepSchedule, step_param: float) -> O
 
 
 def ogd_step(s: OgdState, g: np.ndarray) -> OgdState:
-    """w' = project(w - eta_t g); the iterate never leaves the domain."""
+    """w <- project(w - eta_t g), in place; the iterate never leaves the domain."""
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient must be finite")
-    w = s.domain.project(s.w - s.step_size() * g)
-    return replace(s, w=w, round=s.round + 1)
-
-
-def static_ew(spec: LossSpec, domain: DomainSpec, horizon: int) -> ensemble.EnsembleState:
-    """The mu = 0 ablation of the fixed-share ensemble: a single base
-    learner for the whole stream, same code path as the full ensemble."""
-    return ensemble.init(spec, domain, horizon, mu=0.0)
+    s.w = s.domain.project(s.w - s.step_size() * g)
+    s.round += 1
+    return s

@@ -14,7 +14,7 @@ is nondeterministic by nature and therefore goes to a separate
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .core import (
     path_length,
 )
 
-TASKS = ("squared1d", "least_squares", "logistic", "oco_quadratic")
+TASKS = tuple(kind.value for kind in LossKind) + ("oco_quadratic",)
 CSV_HEADER = "round,algorithm,loss,comparator_loss,cum_regret,wallclock_ns"
 
 
@@ -89,13 +89,9 @@ class ExperimentConfig:
                 raise ConfigError(f"duplicate algorithm {algorithm!r}")
 
     def loss_spec(self) -> LossSpec:
-        if self.task == "squared1d":
-            return LossSpec.squared_1d(self.B)
-        if self.task == "least_squares":
-            return LossSpec.least_squares(self.B)
-        if self.task == "logistic":
-            return LossSpec.logistic()
-        raise ConfigError(f"no prediction loss for task {self.task}")
+        if self.task == "oco_quadratic":
+            raise ConfigError(f"no prediction loss for task {self.task}")
+        return LossSpec(LossKind(self.task), self.B)
 
     def domain(self) -> DomainSpec:
         return DomainSpec(self.d, self.R)
@@ -290,7 +286,6 @@ def _run_ensemble(cfg: ExperimentConfig, bundle: StreamBundle, mu: float | None)
     state = ensemble.init(spec, cfg.domain(), cfg.T, mu=mu)
 
     def step(t, pt):
-        nonlocal state
         smix = ensemble.pushforward_mixture(state, pt.x)
         if spec.kind == LossKind.LOGISTIC:
             z = forecasters.predict_logistic(smix)
@@ -298,7 +293,7 @@ def _run_ensemble(cfg: ExperimentConfig, bundle: StreamBundle, mu: float | None)
             z = forecasters.predict_squared_1d(smix, cfg.B)
         loss = spec.loss(z, pt.y)
         if t < cfg.T - 1:
-            state = ensemble.observe(state, pt)
+            ensemble.observe(state, pt)
         return loss
 
     return _timed_rounds(bundle.points, step)
@@ -309,7 +304,6 @@ def _run_ogd(cfg: ExperimentConfig, bundle: StreamBundle, schedule, step_param: 
     state = baselines.init_ogd(cfg.domain(), schedule, step_param)
 
     def step(t, pt):
-        nonlocal state
         if spec is None:
             loss = _oco_loss(state.w, pt.x)
             g = state.w - pt.x
@@ -323,7 +317,7 @@ def _run_ogd(cfg: ExperimentConfig, bundle: StreamBundle, schedule, step_param: 
             z = float(np.clip(score, -cfg.B, cfg.B))
             loss = spec.loss(z, pt.y)
             g = 2.0 * (score - pt.y) * pt.x
-        state = baselines.ogd_step(state, g)
+        baselines.ogd_step(state, g)
         return loss
 
     return _timed_rounds(bundle.points, step)
@@ -334,8 +328,7 @@ def _run_oco(cfg: ExperimentConfig, bundle: StreamBundle):
     state = oco.init_oco(domain, cfg.T, eta=1.0 / (domain.diameter**2), G=2.0 * cfg.R)
 
     def step(t, pt):
-        nonlocal state
-        w_t, state = oco.oco_round(state, lambda w: w - pt.x)
+        w_t, _ = oco.oco_round(state, lambda w: w - pt.x)
         return _oco_loss(w_t, pt.x)
 
     return _timed_rounds(bundle.points, step)
@@ -356,6 +349,7 @@ class ExperimentResult:
     reports: dict  # algorithm -> RegretReport
     wallclock_ns: dict  # algorithm -> np.ndarray of per-round nanoseconds
     total_runtime_s: float
+    path_length: float  # of the stream's comparator sequence
 
     def csv_text(self) -> str:
         lines = [CSV_HEADER]
@@ -386,7 +380,7 @@ class ExperimentResult:
             if val is not None:  # an absent key parses back to None
                 lines.append(f"{key} = {val}")
         lines.append("[summary]")
-        lines.append(f"path_length = {next(iter(self.reports.values())).path_length:.17g}")
+        lines.append(f"path_length = {self.path_length:.17g}")
         for algo in cfg.algorithms:
             lines.append(f"final_regret.{algo} = {self.reports[algo].cum_dynamic_regret[-1]:.17g}")
         lines.append(f"total_runtime_s = {self.total_runtime_s:.3f}")
@@ -404,9 +398,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             losses, nanos = _dispatch(cfg, bundle, algo)
         except Exception as exc:
             raise RuntimeError(f"algorithm {algo!r} failed: {exc}") from exc
-        reports[algo] = dynamic_regret(losses, comp_losses, bundle.path_length)
+        reports[algo] = dynamic_regret(losses, comp_losses)
         timings[algo] = nanos
-    result = ExperimentResult(cfg, reports, timings, time.perf_counter() - tic)
+    result = ExperimentResult(cfg, reports, timings, time.perf_counter() - tic, bundle.path_length)
     if cfg.output_dir:
         _write_outputs(result)
     return result
@@ -456,8 +450,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values, algorithm: str = "fixed_shar
         run_cfgs.append(replace(cfg, algorithms=(algorithm,), output_dir=None, **changes))
     rows = []
     for run_cfg in run_cfgs:
-        rep = run_experiment(run_cfg).reports[algorithm]
-        rows.append(SweepRow(run_cfg.T, rep.path_length, float(rep.cum_dynamic_regret[-1])))
+        result = run_experiment(run_cfg)
+        rows.append(SweepRow(run_cfg.T, result.path_length, float(result.reports[algorithm].cum_dynamic_regret[-1])))
     nonpositive = [f"{axis} = {val:g} (final regret {r.final_regret:.6g})" for val, r in zip(values, rows)
                    if not r.final_regret > 0]
     if nonpositive:

@@ -2,8 +2,9 @@
 
 Everything here is an immutable value object; the operations are pure
 functions shared by all learners and the benchmark harness.  A
-``LossSpec`` fixes its family's learning rate, admissible labels and loss.
-A comparator sequence is a plain (T, d) array, one comparator per row.
+``LossSpec`` fixes its family's rate, admissible labels and loss; a checked
+loss is ``check_label`` then ``loss``.  A comparator sequence is a plain
+(T, d) array, one per row; the experiment keeps its ``path_length``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class LossSpec:
 
     Every closed form is derived at the family's mixability constant, so
     ``eta`` is not settable: 1/(2 B^2) for the squared kinds on labels in
-    [-B, B], and 1 for the logistic loss on labels in {-1, +1}.
+    [-B, B], and 1 for the logistic loss on labels in {-1, +1}, whatever B.
     """
 
     kind: LossKind
@@ -145,13 +146,6 @@ class RegretReport:
     learner_loss: np.ndarray
     comparator_loss: np.ndarray
     cum_dynamic_regret: np.ndarray
-    path_length: float = 0.0
-
-
-def loss_eval(spec: LossSpec, z: float, point: DataPoint) -> float:
-    """The loss of the score z on a data point whose label is checked first."""
-    spec.check_label(point.y)
-    return spec.loss(float(z), point.y)
 
 
 def logistic_loss(z, y):
@@ -170,7 +164,7 @@ def path_length(comparators) -> float:
     return float(np.sum(np.linalg.norm(np.diff(u, axis=0), axis=1)))
 
 
-def dynamic_regret(learner_losses, comparator_losses, path_len: float = 0.0) -> RegretReport:
+def dynamic_regret(learner_losses, comparator_losses) -> RegretReport:
     """Prefix-sum dynamic regret of the learner against the comparator losses."""
     a = np.asarray(learner_losses, dtype=float)
     b = np.asarray(comparator_losses, dtype=float)
@@ -180,5 +174,4 @@ def dynamic_regret(learner_losses, comparator_losses, path_len: float = 0.0) -> 
         learner_loss=a,
         comparator_loss=b,
         cum_dynamic_regret=np.cumsum(a - b),
-        path_length=path_len,
     )

@@ -7,7 +7,9 @@ by (1 - mu) and spawn the anchor N(w0, I_d) at weight mu, in buffers that
 double as components are born (never beyond horizon + 1 slots).  Read as
 base learners born each round, the components evolve identically to one
 fixed-share update over the continuous parameter space, which the
-verification module checks against a grid simulator.
+verification module checks against a grid simulator.  At mu = 0 it is the
+no-fixed-share ablation.  ``view()`` reads the live mixture in place; copy
+what outlives the round.
 
 Every slot holds a mean and a covariance.  A round reads the 1-D
 pushforward (cov x, x'm, v) of the components along x once: the
@@ -190,11 +192,6 @@ def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:
         s.x_hist, s.y_hist = X, y
     s.fixed_share(log_factors)
     return s
-
-
-def mixture(s: EnsembleState) -> GaussianMixture:
-    """A copy of the current mixture."""
-    return GaussianMixture(s.log_weights.copy(), s.means(), s.covs())
 
 
 def pushforward_mixture(s: EnsembleState, x: np.ndarray) -> ScalarGaussianMixture:

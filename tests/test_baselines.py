@@ -8,9 +8,11 @@ from mixshare.core import DomainSpec, LossSpec
 
 def test_ogd_zero_gradient_keeps_iterate():
     s = baselines.init_ogd(DomainSpec(2, 1.0), baselines.StepSchedule.CONSTANT, 0.1)
+    w = s.w.copy()
     s2 = baselines.ogd_step(s, np.zeros(2))
-    assert np.allclose(s2.w, s.w)
-    assert s2.round == 2
+    assert s2 is s
+    assert np.allclose(s.w, w)
+    assert s.round == 2
 
 
 def test_ogd_single_step_1d():
@@ -54,7 +56,7 @@ def test_projection_nonexpansive(seed):
 def test_static_ew_is_mu_zero_ensemble():
     spec = LossSpec.squared_1d()
     dom = DomainSpec(1, 1.0)
-    s = baselines.static_ew(spec, dom, 20)
+    s = ensemble.init(spec, dom, 20, mu=0.0)
     assert s.mu == 0.0
     assert isinstance(s, ensemble.EnsembleState)
 
@@ -72,7 +74,7 @@ def test_static_ew_close_to_fixed_share_on_stationary_stream():
     bundle = bench.generate_stream(cfg)
     spec = cfg.loss_spec()
     fs = ensemble.init(spec, cfg.domain(), cfg.T)
-    se = baselines.static_ew(spec, cfg.domain(), cfg.T)
+    se = ensemble.init(spec, cfg.domain(), cfg.T, mu=0.0)
     for t, pt in enumerate(bundle.points):
         z_fs = forecasters.predict_squared_1d(ensemble.pushforward_mixture(fs, pt.x), cfg.B)
         z_se = forecasters.predict_squared_1d(ensemble.pushforward_mixture(se, pt.x), cfg.B)

@@ -63,7 +63,7 @@ def _valid_configs(draw):
 def test_summary_config_block_reparses(cfg):
     zeros = np.zeros(cfg.T)
     reports = {algo: dynamic_regret(zeros, zeros) for algo in cfg.algorithms}
-    summary = bench.ExperimentResult(cfg, reports, {}, 0.0).summary_text()
+    summary = bench.ExperimentResult(cfg, reports, {}, 0.0, 0.0).summary_text()
     block = summary.split("[config]\n", 1)[1].split("[summary]\n", 1)[0]
     assert bench.parse_config(block) == cfg
 

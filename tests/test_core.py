@@ -9,7 +9,6 @@ from mixshare.core import (
     LossSpec,
     dynamic_regret,
     logistic_loss,
-    loss_eval,
     path_length,
 )
 
@@ -44,36 +43,18 @@ def test_spec_rate_is_not_settable(make):
 
 def test_spec_check_label_and_loss():
     sq, lg = LossSpec.squared_1d(B=2.0), LossSpec.logistic()
+    sq1, ls = LossSpec.squared_1d(B=1.0), LossSpec.least_squares(B=1.0)
     sq.check_label(-2.0)
     lg.check_label(-1.0)
-    for spec, y in ((sq, 2.5), (lg, 0.5), (lg, 0.0)):
+    ls.check_label(-0.5)
+    for spec, y in ((sq, 2.5), (sq1, 1.5), (ls, -1.5), (lg, 0.5), (lg, 0.0)):
         with pytest.raises(LabelRangeError):
             spec.check_label(y)
     assert sq.loss(0.5, 2.0) == 2.25
+    assert sq1.loss(0.0, 0.5) == pytest.approx(0.25)
+    # least squares is evaluated on the score w'x, like every other family
+    assert ls.loss(0.25, -0.5) == pytest.approx(0.5625)
     assert lg.loss(0.0, -1.0) == pytest.approx(np.log(2.0))
-
-
-def test_loss_eval_squared():
-    spec = LossSpec.squared_1d(B=1.0)
-    pt = DataPoint(np.ones(1), 0.5)
-    assert loss_eval(spec, 0.0, pt) == pytest.approx(0.25)
-
-
-def test_loss_eval_label_range():
-    spec = LossSpec.squared_1d(B=1.0)
-    with pytest.raises(LabelRangeError):
-        loss_eval(spec, 0.0, DataPoint(np.ones(1), 1.5))
-
-
-def test_loss_eval_least_squares_score_and_logistic_labels():
-    # least-squares is evaluated on the score w'x, like every other family
-    spec = LossSpec.least_squares(B=1.0)
-    assert loss_eval(spec, 0.25, DataPoint(np.ones(3), -0.5)) == pytest.approx(0.5625)
-    with pytest.raises(LabelRangeError):
-        loss_eval(spec, 0.25, DataPoint(np.ones(3), -1.5))
-    with pytest.raises(LabelRangeError):
-        loss_eval(LossSpec.logistic(), 0.0, DataPoint(np.ones(2), 0.5))
-    assert loss_eval(LossSpec.logistic(), 0.0, DataPoint(np.ones(2), -1.0)) == pytest.approx(np.log(2.0))
 
 
 def test_logistic_loss_stable_for_large_scores():
@@ -152,7 +133,7 @@ def test_path_length_single_point():
 
 
 def test_dynamic_regret_constant_gap():
-    rep = dynamic_regret([1.0, 1.0], [0.0, 0.0], path_len=0.0)
+    rep = dynamic_regret([1.0, 1.0], [0.0, 0.0])
     assert np.allclose(rep.cum_dynamic_regret, [1.0, 2.0])
 
 

@@ -269,7 +269,8 @@ def test_mixture_views_agree():
         for _ in range(8):
             y = float(np.clip(rng.standard_normal(), -1, 1))
             s = ensemble.observe(s, DataPoint(rng.standard_normal(2), y if s.quadratic else np.sign(y)))
-        mix = ensemble.mixture(s)
+        view = s.view()
+        mix = forecasters.GaussianMixture(view.log_w.copy(), view.means.copy(), view.covs.copy())
         assert mix.means.shape == (s.n_learners, 2)
         assert np.array_equal(mix.weights, s.weights)
         assert np.array_equal(mix.means, s.means())
