@@ -13,6 +13,7 @@ is nondeterministic by nature and therefore goes to a separate
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -53,12 +54,15 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        for key, kinds, what in _FIELD_TYPES:
+            val = getattr(self, key)
+            if isinstance(val, bool) or not isinstance(val, kinds):
+                raise ConfigError(f"{key} must be {what}, got {val!r}")
+        if not (isinstance(self.algorithms, (tuple, list)) and all(isinstance(a, str) for a in self.algorithms)):
+            raise ConfigError(f"algorithms must be a tuple or list of strings, got {self.algorithms!r}")
+        object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; choose from {TASKS}")
-        for key in ("d", "T", "seed"):
-            val = getattr(self, key)
-            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
-                raise ConfigError(f"{key} must be an integer, got {val!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         for key in ("d", "T", "B", "L", "R", "jump_norm"):
@@ -79,14 +83,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"R * L = {self.R * self.L} > B = {self.B}: noiseless labels may exceed the label bound"
             )
-        if isinstance(self.algorithms, list):
-            object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not self.algorithms:
             raise ConfigError("algorithms must name at least one algorithm")
-        for i, algorithm in enumerate(self.algorithms):
-            _parse_algorithm(algorithm, self.task)
-            if algorithm in self.algorithms[:i]:
-                raise ConfigError(f"duplicate algorithm {algorithm!r}")
+        learners = {}  # (name, OGD step) -> the algorithm that runs it
+        for algorithm in self.algorithms:
+            learner = _parse_algorithm(algorithm, self.task)
+            if learner in learners:
+                same = "" if learners[learner] == algorithm else f" (the same learner as {learners[learner]!r})"
+                raise ConfigError(f"duplicate algorithm {algorithm!r}{same}")
+            learners[learner] = algorithm
 
     def loss_spec(self) -> LossSpec:
         if self.task == "oco_quadratic":
@@ -96,6 +101,22 @@ class ExperimentConfig:
     def domain(self) -> DomainSpec:
         return DomainSpec(self.d, self.R)
 
+
+_REAL = (numbers.Real,)
+# field -> accepted types and their name in the error; bool is never accepted
+_FIELD_TYPES = (
+    ("task", (str,), "a string"),
+    ("d", (int, np.integer), "an integer"),
+    ("T", (int, np.integer), "an integer"),
+    ("B", _REAL, "a real number"),
+    ("L", _REAL, "a real number"),
+    ("R", _REAL, "a real number"),
+    ("drift", (str,), "a string"),
+    ("jump_norm", _REAL + (type(None),), "a real number or None"),
+    ("noise_sd", _REAL, "a real number"),
+    ("seed", (int, np.integer), "an integer"),
+    ("output_dir", (str, type(None)), "a string or None"),
+)
 
 _CONFIG_TYPES = {
     "task": str,
@@ -244,7 +265,8 @@ def generate_stream(cfg: ExperimentConfig) -> StreamBundle:
             x = cfg.L * g / np.linalg.norm(g)
         score = float(u @ x)
         if cfg.task == "logistic":
-            p = 1.0 / (1.0 + np.exp(-score))
+            with np.errstate(over="ignore"):  # exp -> inf gives p = 0, the exact limit
+                p = 1.0 / (1.0 + np.exp(-score))
             y = 1.0 if rng.uniform() < p else -1.0
         else:
             y = float(np.clip(score + cfg.noise_sd * rng.standard_normal(), -cfg.B, cfg.B))
@@ -310,7 +332,8 @@ def _run_ogd(cfg: ExperimentConfig, bundle: StreamBundle, schedule, step_param: 
         elif spec.kind == LossKind.LOGISTIC:
             z = float(state.w @ pt.x)
             loss = spec.loss(z, pt.y)
-            sig = 1.0 / (1.0 + np.exp(pt.y * z))
+            with np.errstate(over="ignore"):  # exp -> inf gives sig = 0, the exact limit
+                sig = 1.0 / (1.0 + np.exp(pt.y * z))
             g = -pt.y * sig * pt.x
         else:
             score = float(state.w @ pt.x)

@@ -162,6 +162,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "verify":
+        if args.seed < 0:
+            print(f"mixshare: --seed must be nonnegative, got {args.seed}", file=sys.stderr)
+            return 2
         return 0 if run_suite(args.suite, args.seed) else 1
     try:
         cfg = bench.parse_config(_read_config(args.config))

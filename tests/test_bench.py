@@ -1,12 +1,13 @@
+import warnings
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mixshare import baselines, bench, oco
-from mixshare.core import dynamic_regret, path_length
+from mixshare.core import DataPoint, dynamic_regret, path_length
 
 
 def test_parse_config_roundtrip():
@@ -66,6 +67,32 @@ def test_summary_config_block_reparses(cfg):
     summary = bench.ExperimentResult(cfg, reports, {}, 0.0, 0.0).summary_text()
     block = summary.split("[config]\n", 1)[1].split("[summary]\n", 1)[0]
     assert bench.parse_config(block) == cfg
+
+
+# R * L = 994 * 690 puts logistic scores far past exp's overflow at 709
+@settings(max_examples=100, deadline=None)
+@given(_valid_configs())
+@example(bench.ExperimentConfig(task="logistic", T=10, R=994.0, L=690.0, seed=0,
+                                algorithms=("fixed_share", "ogd_constant:0.5", "ogd_inverse_t")))
+def test_every_valid_config_runs(cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = bench.run_experiment(replace(cfg, output_dir=None))
+    for rep in result.reports.values():
+        assert rep.learner_loss.shape == (cfg.T,)
+        assert np.all(np.isfinite(rep.learner_loss)) and np.all(np.isfinite(rep.comparator_loss))
+
+
+def test_ogd_logistic_gradient_saturates_without_overflow():
+    # after one step w'x = 0.25 * 690^2, so y w'x overflows exp; the gradient is then exactly 0
+    cfg = bench.ExperimentConfig(task="logistic", T=3, R=1000.0, L=690.0, algorithms=("ogd_constant:0.5",))
+    points = [DataPoint(np.array([690.0]), 1.0)] * 3
+    bundle = bench.StreamBundle(points, np.zeros((3, 1)), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        losses, _ = bench._run_ogd(cfg, bundle, baselines.StepSchedule.CONSTANT, 0.5)
+    assert losses[0] == pytest.approx(np.log(2.0))
+    assert losses[1] == losses[2] == 0.0
 
 
 def test_parse_config_unknown_key_is_hard_error():
@@ -131,6 +158,8 @@ def test_config_validation():
         "algorithms = ogd_inverse_t:-1",
         "algorithms = oco",
         "algorithms = fixed_share, static_ew, fixed_share",
+        "algorithms = ogd_constant, ogd_constant:0.1",
+        "algorithms = ogd_inverse_t:1.0, ogd_inverse_t",
     ],
 )
 def test_config_rejects_invalid_values(line):
@@ -147,6 +176,24 @@ def test_config_rejects_invalid_values(line):
 def test_config_rejects_bad_integer_fields(changes):
     with pytest.raises(bench.ConfigError, match=next(iter(changes))):
         bench.ExperimentConfig(task="least_squares", B=2.0, **changes)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"B": "1"}, {"R": "2"}, {"L": True}, {"noise_sd": None}, {"jump_norm": "0.1"}, {"task": 1},
+     {"drift": 3}, {"output_dir": 5}, {"algorithms": "fixed_share"}, {"algorithms": ("fixed_share", 1)}],
+    ids=["B_str", "R_str", "L_bool", "noise_sd_none", "jump_norm_str", "task_int",
+         "drift_int", "output_dir_int", "algorithms_str", "algorithms_int_entry"],
+)
+def test_config_rejects_wrongly_typed_fields(changes):
+    with pytest.raises(bench.ConfigError, match=f"^{next(iter(changes))} must be"):
+        bench.ExperimentConfig(**{"task": "least_squares", "B": 2.0, **changes})
+
+
+def test_config_accepts_numpy_real_fields():
+    cfg = bench.ExperimentConfig(task="least_squares", d=2, T=5, B=np.float32(2.0), L=np.int64(1), R=np.float64(0.5),
+                                 jump_norm=np.float64(0.25), noise_sd=np.float16(0.1))
+    assert len(bench.run_experiment(cfg).reports["fixed_share"].learner_loss) == 5
 
 
 def test_config_accepts_numpy_integer_fields():

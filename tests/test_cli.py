@@ -57,6 +57,13 @@ def test_verify_all_suites(capsys):
         assert f"suite {name}" in out
 
 
+def test_verify_rejects_negative_seed(capsys):
+    assert cli.main(["verify", "--suite", "gaussian", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mixshare: --seed must be nonnegative, got -1\n"
+
+
 def test_verify_rejects_unknown_suite():
     with pytest.raises(SystemExit):
         cli.main(["verify", "--suite", "nope"])
@@ -137,8 +144,10 @@ def test_run_exits_2_on_invalid_value(tmp_path, capsys):
         ("", ["run", "--seed", "-1"], "seed must be nonnegative, got -1"),
         ("", ["sweep", "--axis", "T", "--seed", "-1"], "seed must be nonnegative, got -1"),
         ("algorithms = fixed_share, fixed_share\n", ["run"], "duplicate algorithm 'fixed_share'"),
+        ("algorithms = ogd_constant, ogd_constant:0.1\n", ["run"],
+         "duplicate algorithm 'ogd_constant:0.1' (the same learner as 'ogd_constant')"),
     ],
-    ids=["seed_in_file", "seed_flag_run", "seed_flag_sweep", "repeated_algorithm"],
+    ids=["seed_in_file", "seed_flag_run", "seed_flag_sweep", "repeated_algorithm", "algorithm_spelled_twice"],
 )
 def test_invalid_seed_or_algorithms_exit_2(tmp_path, capsys, text, argv, message):
     path = _write_config(tmp_path, "task = squared1d\nT = 30\n" + text)
