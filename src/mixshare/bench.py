@@ -54,12 +54,11 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        for key, kinds, what in _FIELD_TYPES:
+        for key, (_, kinds, what) in _FIELDS.items():
             val = getattr(self, key)
-            if isinstance(val, bool) or not isinstance(val, kinds):
+            if (isinstance(val, bool) or not isinstance(val, kinds)
+                    or key == "algorithms" and not all(isinstance(a, str) for a in val)):
                 raise ConfigError(f"{key} must be {what}, got {val!r}")
-        if not (isinstance(self.algorithms, (tuple, list)) and all(isinstance(a, str) for a in self.algorithms)):
-            raise ConfigError(f"algorithms must be a tuple or list of strings, got {self.algorithms!r}")
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; choose from {TASKS}")
@@ -103,34 +102,23 @@ class ExperimentConfig:
 
 
 _REAL = (numbers.Real,)
-# field -> accepted types and their name in the error; bool is never accepted
-_FIELD_TYPES = (
-    ("task", (str,), "a string"),
-    ("d", (int, np.integer), "an integer"),
-    ("T", (int, np.integer), "an integer"),
-    ("B", _REAL, "a real number"),
-    ("L", _REAL, "a real number"),
-    ("R", _REAL, "a real number"),
-    ("drift", (str,), "a string"),
-    ("jump_norm", _REAL + (type(None),), "a real number or None"),
-    ("noise_sd", _REAL, "a real number"),
-    ("seed", (int, np.integer), "an integer"),
-    ("output_dir", (str, type(None)), "a string or None"),
-)
-
-_CONFIG_TYPES = {
-    "task": str,
-    "d": int,
-    "T": int,
-    "B": float,
-    "L": float,
-    "R": float,
-    "drift": str,
-    "jump_norm": float,
-    "noise_sd": float,
-    "seed": int,
-    "algorithms": lambda s: tuple(a.strip() for a in s.split(",") if a.strip()),
-    "output_dir": str,
+_INT = (int, np.integer)
+# field -> (config-file parser, accepted types, their name in errors), in
+# ExperimentConfig's field order, which summary_text prints; bool is never accepted
+_FIELDS = {
+    "task": (str, (str,), "a string"),
+    "d": (int, _INT, "an integer"),
+    "T": (int, _INT, "an integer"),
+    "B": (float, _REAL, "a real number"),
+    "L": (float, _REAL, "a real number"),
+    "R": (float, _REAL, "a real number"),
+    "drift": (str, (str,), "a string"),
+    "jump_norm": (float, _REAL + (type(None),), "a real number or None"),
+    "noise_sd": (float, _REAL, "a real number"),
+    "seed": (int, _INT, "an integer"),
+    "algorithms": (lambda s: tuple(a.strip() for a in s.split(",") if a.strip()), (tuple, list),
+                   "a tuple or list of strings"),
+    "output_dir": (str, (str, type(None)), "a string or None"),
 }
 
 
@@ -146,12 +134,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_TYPES:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _CONFIG_TYPES[key](val)
+            values[key] = _FIELDS[key][0](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
     return ExperimentConfig(**values)
@@ -292,13 +280,13 @@ def _comparator_losses(cfg: ExperimentConfig, bundle: StreamBundle) -> np.ndarra
 
 
 def _timed_rounds(points: list, step) -> tuple:
-    """Run ``step(t, pt) -> loss`` over the stream; returns the per-round
+    """Run ``step(pt) -> loss`` over the stream; returns the per-round
     losses and the wall-clock nanoseconds of each step call."""
     losses = np.empty(len(points))
     nanos = np.zeros(len(points), dtype=np.int64)
     for t, pt in enumerate(points):
         tic = time.perf_counter_ns()
-        losses[t] = step(t, pt)
+        losses[t] = step(pt)
         nanos[t] = time.perf_counter_ns() - tic
     return losses, nanos
 
@@ -307,15 +295,14 @@ def _run_ensemble(cfg: ExperimentConfig, bundle: StreamBundle, mu: float | None)
     spec = cfg.loss_spec()
     state = ensemble.init(spec, cfg.domain(), cfg.T, mu=mu)
 
-    def step(t, pt):
+    def step(pt):
         smix = ensemble.pushforward_mixture(state, pt.x)
         if spec.kind == LossKind.LOGISTIC:
             z = forecasters.predict_logistic(smix)
         else:
             z = forecasters.predict_squared_1d(smix, cfg.B)
         loss = spec.loss(z, pt.y)
-        if t < cfg.T - 1:
-            ensemble.observe(state, pt)
+        ensemble.observe(state, pt)
         return loss
 
     return _timed_rounds(bundle.points, step)
@@ -325,7 +312,7 @@ def _run_ogd(cfg: ExperimentConfig, bundle: StreamBundle, schedule, step_param: 
     spec = None if cfg.task == "oco_quadratic" else cfg.loss_spec()
     state = baselines.init_ogd(cfg.domain(), schedule, step_param)
 
-    def step(t, pt):
+    def step(pt):
         if spec is None:
             loss = _oco_loss(state.w, pt.x)
             g = state.w - pt.x
@@ -350,7 +337,7 @@ def _run_oco(cfg: ExperimentConfig, bundle: StreamBundle):
     domain = cfg.domain()
     state = oco.init_oco(domain, cfg.T, eta=1.0 / (domain.diameter**2), G=2.0 * cfg.R)
 
-    def step(t, pt):
+    def step(pt):
         w_t, _ = oco.oco_round(state, lambda w: w - pt.x)
         return _oco_loss(w_t, pt.x)
 
@@ -396,7 +383,7 @@ class ExperimentResult:
     def summary_text(self) -> str:
         cfg = self.config
         lines = ["[config]"]
-        for key in _CONFIG_TYPES:
+        for key in _FIELDS:
             val = getattr(cfg, key)
             if isinstance(val, tuple):
                 val = ",".join(val)

@@ -58,7 +58,7 @@ def _suite_ensemble(seed: int):
         spec = LossSpec.squared_1d(B=B)
         state = ensemble.init(spec, DomainSpec(1, 1.0), T)
         anchor = grid = verification.gaussian_grid(0.0, 1.0)
-        for t in range(T - 1):
+        for t in range(T):
             pt = DataPoint(np.ones(1), B * float(np.clip(0.5 + 0.3 * rng.standard_normal(), -1, 1)))
             z_ens = forecasters.predict_squared_1d(ensemble.pushforward_mixture(state, pt.x), B)
             z_grid = verification.grid_predict_squared(grid, spec)

@@ -49,9 +49,10 @@ class FixedShareMixture:
     """A Gaussian mixture advanced by fixed share, in place.
 
     Starts as the anchor with weight 1, born at round 1; mu defaults to
-    1/T.  Only the first ``n_learners`` slots are live; the accessors
-    return copies or views of them, and a view is valid until the next
-    round.
+    1/T.  Built for horizon T it closes exactly T rounds, so it holds at
+    most T + 1 components; ``check_open`` refuses a round past T.  Only
+    the first ``n_learners`` slots are live; the accessors return copies
+    or views of them, and a view is valid until the next round.
     """
 
     def __init__(self, w0: np.ndarray, horizon: int, mu: float | None = None):
@@ -93,6 +94,11 @@ class FixedShareMixture:
         self._means[k] = self.w0
         self._covs[k] = self._eye
         self._k = k + 1
+
+    def check_open(self):
+        """Raise ``HorizonExceededError`` past round ``horizon``: mu = 1/T ties the weights to T."""
+        if self.round > self.horizon:
+            raise HorizonExceededError(f"round {self.round} exceeds horizon {self.horizon}")
 
     def fixed_share(self, log_factors: np.ndarray):
         """Close the round: reweight the live components by exp(log_factors),
@@ -163,14 +169,11 @@ def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:
     """Advance one round in place and return ``s``: meta reweight, base
     updates, newborn at weight mu.
 
-    The point is checked (horizon, feature shape, label range) before any
-    buffer is touched, so a rejected point leaves the state as it was.
-    Arrays previously read from ``s`` by view may change or go stale.
+    The shared ``check_open``, the feature shape and the label range are
+    checked before any buffer is touched, so a rejected point leaves the
+    state as it was.  Arrays read from ``s`` by view may change or go stale.
     """
-    if s.round >= s.horizon:
-        # mu = 1/T ties the weight schedule to the horizon, so a longer
-        # stream would invalidate the fixed-share coupling.
-        raise HorizonExceededError(f"round {s.round} reached horizon {s.horizon}")
+    s.check_open()
     if point.x.shape != s.w0.shape:
         raise DimensionError(f"feature shape {point.x.shape}, expected {s.w0.shape}")
     s.loss_spec.check_label(point.y)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionError, DomainSpec
-from .ensemble import FixedShareMixture, HorizonExceededError
+from .ensemble import FixedShareMixture
 from .forecasters import GaussianMixture
 from .gaussian import LOG_2PI, logsumexp, pushforward_stack, tilt_in_place
 
@@ -136,11 +136,10 @@ def approx_project_to_M(mix: GaussianMixture, domain: DomainSpec, T: int) -> Non
 
 def oco_round(s: OcoState, grad_oracle) -> tuple:
     """One full round in place: predict the mean, tilt, repair, fixed share;
-    returns (w_t, s).  Past the horizon it raises before calling the oracle;
-    a gradient of the wrong shape, non-finite or above G raises before the
-    state is touched."""
-    if s.round > s.horizon:
-        raise HorizonExceededError(f"round {s.round} exceeds horizon {s.horizon}")
+    returns (w_t, s).  Past the horizon the shared ``check_open`` raises
+    before the oracle is called; a gradient of the wrong shape, non-finite
+    or above G raises before the state is touched."""
+    s.check_open()
     w_t = predict_mean(s)
     if not s.domain.contains(w_t, tol=1e-9):
         raise ConstraintViolationError("mixture mean escaped the domain")

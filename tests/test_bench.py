@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -27,6 +27,8 @@ def test_parse_config_roundtrip():
     assert cfg.drift == "piecewise:3"
     assert cfg.jump_norm == 0.25
     assert cfg.algorithms == ("fixed_share", "static_ew")
+    # one table types, parses and prints every field, so it lists them all, in declaration order
+    assert list(bench._FIELDS) == [f.name for f in fields(bench.ExperimentConfig)]
 
 
 @st.composite

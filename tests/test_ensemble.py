@@ -31,6 +31,8 @@ def test_init_rejects_bad_horizon_and_mu():
         ensemble.init(spec, dom, 0)
     with pytest.raises(ValueError):
         ensemble.init(spec, dom, 10, mu=1.5)
+    with pytest.raises(ValueError):
+        oco.init_oco(DomainSpec(3, 1.0), 0, eta=0.25, G=2.0)
 
 
 def test_mu_representable_for_huge_horizon():
@@ -82,13 +84,32 @@ def test_mu_zero_never_spawns():
     assert s.n_learners == 1
 
 
-def test_horizon_guard():
-    s, _ = _squared_state(T=3)
-    pt = DataPoint(np.ones(1), 0.0)
-    s = ensemble.observe(s, pt)
-    s = ensemble.observe(s, pt)
-    with pytest.raises(ensemble.HorizonExceededError):
-        ensemble.observe(s, pt)
+def _close_round(s, oracle=lambda w: w - 0.1):
+    """One round of either learner on FixedShareMixture; the ensemble sees a fixed point."""
+    if isinstance(s, oco.OcoState):
+        return oco.oco_round(s, oracle)
+    return ensemble.observe(s, DataPoint(np.full(s.w0.size, 0.7), 1.0))
+
+
+@pytest.mark.parametrize("kind", ["squared", "logistic", "oco"])
+def test_horizon_closes_exactly_T_rounds(kind):
+    # every learner closes T rounds; the (T+1)-th raises before any buffer
+    # is touched and, in OCO, before the oracle is called
+    T = 4
+    if kind == "oco":
+        s = oco.init_oco(DomainSpec(2, 1.0), T, eta=0.25, G=2.0)
+    else:
+        spec, d = (LossSpec.squared_1d(), 1) if kind == "squared" else (LossSpec.logistic(), 2)
+        s = ensemble.init(spec, DomainSpec(d, 1.0), T)
+    for _ in range(T):
+        _close_round(s)
+    assert s.round == s.n_learners == T + 1 and s._log_w.size == T + 1
+    saved = (s.log_weights.copy(), s.means(), s.covs())
+    with pytest.raises(ensemble.HorizonExceededError, match=f"round {T + 1} exceeds horizon {T}"):
+        _close_round(s, lambda w: pytest.fail("oracle called past the horizon"))
+    assert s.round == T + 1
+    for before, after in zip(saved, (s.log_weights, s.means(), s.covs())):
+        assert np.array_equal(before, after)
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,9 +146,8 @@ def test_ensemble_equals_grid_fixed_share_off_unit_label_bound(B):
         pt = DataPoint(np.ones(1), float(np.clip(rng.normal(0.5 * B * (-1.0) ** (t // 13), 0.3 * B), -B, B)))
         z_ens = forecasters.predict_squared_1d(ensemble.pushforward_mixture(state, pt.x), B)
         worst = max(worst, abs(z_ens - grid_predict_squared(grid, spec)))
-        if t < T - 1:
-            state = ensemble.observe(state, pt)
-            grid = grid_fixed_share_round(grid, pt, spec, state.mu, anchor)
+        state = ensemble.observe(state, pt)
+        grid = grid_fixed_share_round(grid, pt, spec, state.mu, anchor)
     assert worst <= 1e-3, f"worst |z| gap {worst:.2e} at B = {B}"
 
 
@@ -172,7 +192,6 @@ def test_fixed_share_mixture_invariants(kind, T, capacity, scale, seed):
         if kind == "oco":
             dom = DomainSpec(2, scale)
             s = oco.init_oco(dom, T, eta=1.0 / dom.diameter**2, G=2.0 * dom.R)
-            steps = T
         else:
             d = 1 if kind == "squared1d" else 3
             spec = {
@@ -181,9 +200,8 @@ def test_fixed_share_mixture_invariants(kind, T, capacity, scale, seed):
                 "logistic": LossSpec.logistic(),
             }[kind]
             s = ensemble.init(spec, DomainSpec(d, 1.0), T)
-            steps = T - 1
         _assert_mixture_invariants(s)
-        for _ in range(steps):
+        for _ in range(T):
             if kind == "oco":
                 c = dom.project(rng.standard_normal(2))
                 _, s = oco.oco_round(s, lambda w: w - c)

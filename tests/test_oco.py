@@ -385,16 +385,6 @@ def test_oco_stays_in_off_centre_domain(d, R, center, T, seed):
         s.mixture.validate(dom)
 
 
-def test_oco_horizon_guard():
-    with pytest.raises(ValueError):
-        oco.init_oco(DomainSpec(3, 1.0), 0, eta=0.25, G=2.0)
-    s, _ = _oco_run(5, 5, seed=48)
-    assert s.n_learners == 6
-    with pytest.raises(ensemble.HorizonExceededError):
-        oco.oco_round(s, lambda w: pytest.fail("oracle called past the horizon"))
-    assert s.n_learners == 6
-
-
 def test_oco_buffer_growth_keeps_every_number(monkeypatch):
     preallocated, preds_a = _oco_run(20, 20, seed=49)
     monkeypatch.setattr(ensemble, "_INITIAL_CAPACITY", 1)
