@@ -57,7 +57,7 @@ class ExperimentConfig:
         for key, (_, kinds, what) in _FIELDS.items():
             val = getattr(self, key)
             if (isinstance(val, bool) or not isinstance(val, kinds)
-                    or key == "algorithms" and not all(isinstance(a, str) for a in val)):
+                    or (key == "algorithms" and not all(isinstance(a, str) for a in val))):
                 raise ConfigError(f"{key} must be {what}, got {val!r}")
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if self.task not in TASKS:
@@ -78,9 +78,10 @@ class ExperimentConfig:
         kind, arg = _parse_drift(self.drift)
         if kind == "piecewise" and not 0 <= arg < self.T:
             raise ConfigError(f"switch count {arg} must lie in [0, T = {self.T})")
-        if self.task in ("squared1d", "least_squares") and self.noise_sd == 0.0 and self.R * self.L > self.B:
+        x_norm = 1.0 if self.task == "squared1d" else self.L  # |x|: squared1d fixes x = 1
+        if self.task in ("squared1d", "least_squares") and self.noise_sd == 0.0 and self.R * x_norm > self.B:
             raise ConfigError(
-                f"R * L = {self.R * self.L} > B = {self.B}: noiseless labels may exceed the label bound"
+                f"R * |x| = {self.R * x_norm} > B = {self.B}: noiseless labels may exceed the label bound"
             )
         if not self.algorithms:
             raise ConfigError("algorithms must name at least one algorithm")

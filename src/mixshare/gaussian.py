@@ -116,7 +116,8 @@ def pushforward_stack(means: np.ndarray, covs: np.ndarray, x: np.ndarray) -> tup
     round-off.  ``tilt_in_place`` reads all three.
     """
     x = np.asarray(x, dtype=float)
-    cov_x = covs @ x  # (k, d)
+    k, d, _ = covs.shape
+    cov_x = (covs.reshape(k * d, d) @ x).reshape(k, d)  # one GEMV, not k batched products
     return cov_x, means @ x, np.maximum(cov_x @ x, 0.0)
 
 

@@ -37,7 +37,8 @@ def _valid_configs(draw):
     T = draw(st.integers(1, 10))
     R, B, L = (draw(st.floats(1e-3, 1e3)) for _ in range(3))
     noise_sd = draw(st.floats(0.0, 10.0))
-    assume(task not in ("squared1d", "least_squares") or noise_sd > 0.0 or R * L <= B)
+    # noiseless squared labels need R * |x| <= B; squared1d fixes x = 1
+    assume(task not in ("squared1d", "least_squares") or noise_sd > 0.0 or R * (1.0 if task == "squared1d" else L) <= B)
     drift = draw(
         st.sampled_from(["stationary"])
         | st.integers(0, T - 1).map(lambda k: f"piecewise:{k}")
@@ -132,6 +133,10 @@ def test_config_validation():
     # infeasible noiseless config: ground truth can exceed the label bound
     with pytest.raises(bench.ConfigError):
         bench.ExperimentConfig(task="least_squares", d=2, R=2.0, L=1.0, B=1.0, noise_sd=0.0)
+    # squared1d fixes x = 1, so its noiseless bound is R <= B whatever L is
+    bench.ExperimentConfig(task="squared1d", L=2.0, R=0.5, B=0.9, noise_sd=0.0)
+    with pytest.raises(bench.ConfigError, match=r"R \* \|x\| = 1.0 > B = 0.6"):
+        bench.ExperimentConfig(task="squared1d", L=0.5, R=1.0, B=0.6, noise_sd=0.0, drift="piecewise:5", jump_norm=0.5)
 
 
 @pytest.mark.parametrize(
