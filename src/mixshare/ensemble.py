@@ -3,8 +3,8 @@
 ``FixedShareMixture`` is the one recursion of the ensemble and of
 ``oco.OcoState``, Herbster and Warmuth's fixed share over Gaussian
 mixtures: reweight every component by its mix factor, renormalize, scale
-by (1 - mu) and spawn the anchor N(w0, I_d) at weight mu, in buffers that
-double as components are born (never beyond horizon + 1 slots).  Read as
+by (1 - mu) and spawn the anchor N(w0, I_d) at weight mu, in buffers of
+horizon + 1 slots allocated once, when the mixture is built.  Read as
 base learners born each round, the components evolve identically to one
 fixed-share update over the continuous parameter space, which the
 verification module checks against a grid simulator.  At mu = 0 it is the
@@ -18,9 +18,9 @@ for a point with the same read-only x in the same round.  A squared-loss
 factor is one rank-one Gaussian tilt on it, so a quadratic round costs
 O(k d^2) and solves no system.  The logistic loss takes its mix factors
 from ``posterior.log_logistic_mix_factors`` on it, then refits Laplace
-modes over the shared history by ``posterior.laplace_refit`` and stores
-the inverse Hessians.  Both factor sources return finite logs for every
-finite point, so the weights are reweighted in log space with no floor.
+modes over the shared history, read in place, by ``posterior.laplace_refit``
+and stores the inverse Hessians.  Both factor sources return finite logs for
+every finite point, so the weights are reweighted in log space with no floor.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ from .core import DataPoint, DimensionError, DomainSpec, LossKind, LossSpec
 from .forecasters import GaussianMixture, ScalarGaussianMixture
 from .gaussian import logsumexp, pushforward_stack, tilt_in_place
 from .posterior import laplace_refit, log_logistic_mix_factors
-
-# Component slots allocated up front; the buffers double from here.
-_INITIAL_CAPACITY = 64
 
 
 class HorizonExceededError(RuntimeError):
@@ -50,9 +47,11 @@ class FixedShareMixture:
 
     Starts as the anchor with weight 1, born at round 1; mu defaults to
     1/T.  Built for horizon T it closes exactly T rounds, so it holds at
-    most T + 1 components; ``check_open`` refuses a round past T.  Only
-    the first ``n_learners`` slots are live; the accessors return copies
-    or views of them, and a view is valid until the next round.
+    most T + 1 components, in buffers of T + 1 slots allocated here once:
+    ``check_open`` refuses a round past T, and a horizon too large to
+    reserve fails here, not partway through a run.  Only the first
+    ``n_learners`` slots are live; the accessors return copies or views
+    of them, and a view is valid until the next round.
     """
 
     def __init__(self, w0: np.ndarray, horizon: int, mu: float | None = None):
@@ -70,25 +69,17 @@ class FixedShareMixture:
             self._log_keep, self._log_mu = np.log1p(-mu), np.log(mu)
         self.round = 1
         d = w0.size
-        cap = min(horizon + 1, _INITIAL_CAPACITY)
         self._k = 0
-        self._log_w = np.empty(cap)
-        self._births = np.empty(cap, dtype=np.int64)
-        self._means = np.empty((cap, d))
-        self._covs = np.empty((cap, d, d))
+        self._log_w = np.empty(horizon + 1)
+        self._births = np.empty(horizon + 1, dtype=np.int64)
+        self._means = np.empty((horizon + 1, d))
+        self._covs = np.empty((horizon + 1, d, d))
         self._eye = _read_only(np.eye(d))  # the newborn's covariance
         self._spawn(0.0)
 
     def _spawn(self, log_w: float):
-        """Append the anchor born this round, growing the buffers if full."""
+        """Write the anchor born this round into the next of the horizon + 1 slots."""
         k = self._k
-        if k == self._log_w.size:
-            cap = min(2 * k, self.horizon + 1)
-            for name in ("_log_w", "_births", "_means", "_covs"):
-                old = getattr(self, name)
-                new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
-                new[:k] = old
-                setattr(self, name, new)
         self._log_w[k] = log_w
         self._births[k] = self.round
         self._means[k] = self.w0
@@ -145,17 +136,17 @@ class FixedShareMixture:
 class EnsembleState(FixedShareMixture):
     """The live ensemble.  ``observe`` mutates it in place.
 
-    The logistic loss also keeps the shared observation history: the
-    learner born at round b uses history rows b-1 onward.
+    The logistic loss also keeps the shared observation history, row t-1
+    of (horizon, d) and (horizon,) buffers at round t: the learner born at
+    round b uses history rows b-1 onward.  The quadratic kinds keep none.
     """
 
     def __init__(self, loss_spec: LossSpec, domain: DomainSpec, horizon: int, mu: float | None):
         super().__init__(domain.center.copy(), horizon, mu)
         self.loss_spec = loss_spec
-        self.domain = domain
         self.quadratic = loss_spec.kind in (LossKind.SQUARED_1D, LossKind.LEAST_SQUARES)
-        self.x_hist = np.zeros((0, domain.d))
-        self.y_hist = np.zeros(0)
+        rows = 0 if self.quadratic else horizon
+        self._x_hist, self._y_hist = np.empty((rows, domain.d)), np.empty(rows)
         # (round, x, cov_x, x'm, v) of the last pushforward_mixture
         self._pushforward = None
 
@@ -189,10 +180,10 @@ def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:
         log_factors = tilt_in_place(means, covs, cov_x, xm - point.y, v, s.loss_spec.eta, 0.0)
     else:
         log_factors = log_logistic_mix_factors(xm, v, point.y)
-        X, y = np.vstack([s.x_hist, x]), np.append(s.y_hist, point.y)
-        means[:], hessians = laplace_refit(means, s.w0, X, y, s._births[:k] - 1)
+        t = s.round
+        s._x_hist[t - 1], s._y_hist[t - 1] = x, point.y
+        means[:], hessians = laplace_refit(means, s.w0, s._x_hist[:t], s._y_hist[:t], s._births[:k] - 1)
         covs[:] = np.linalg.inv(hessians)
-        s.x_hist, s.y_hist = X, y
     s.fixed_share(log_factors)
     return s
 

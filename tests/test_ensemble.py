@@ -151,19 +151,26 @@ def test_ensemble_equals_grid_fixed_share_off_unit_label_bound(B):
     assert worst <= 1e-3, f"worst |z| gap {worst:.2e} at B = {B}"
 
 
-def test_buffer_growth_keeps_every_number(monkeypatch):
-    rng = np.random.default_rng(35)
-    points = [DataPoint(rng.standard_normal(3), float(np.clip(rng.standard_normal(), -1, 1))) for _ in range(20)]
-    preallocated, _ = _squared_state(T=30, d=3)
-    monkeypatch.setattr(ensemble, "_INITIAL_CAPACITY", 1)
-    doubling, _ = _squared_state(T=30, d=3)
-    for pt in points:
-        preallocated = ensemble.observe(preallocated, pt)
-        doubling = ensemble.observe(doubling, pt)
-    assert doubling.births == preallocated.births == tuple(range(1, 22))
-    assert np.array_equal(doubling.log_weights, preallocated.log_weights)
-    assert np.array_equal(doubling.means(), preallocated.means())
-    assert np.array_equal(doubling.covs(), preallocated.covs())
+KINDS = ["squared1d", "least_squares", "logistic", "oco"]
+
+
+def _mixture(kind, T, scale=1.0, mu=None):
+    """A fresh horizon-T learner of one kind; OCO lives on a ball of radius ``scale``."""
+    if kind == "oco":
+        dom = DomainSpec(2, scale)
+        return oco.init_oco(dom, T, eta=1.0 / dom.diameter**2, G=2.0 * dom.R)
+    spec = {"squared1d": LossSpec.squared_1d(), "least_squares": LossSpec.least_squares(), "logistic": LossSpec.logistic()}[kind]
+    return ensemble.init(spec, DomainSpec(1 if kind == "squared1d" else 3, 1.0), T, mu=mu)
+
+
+def _advance(s, rng, scale=1.0):
+    """One random round: a target in the ball for OCO, features of size ``scale`` otherwise."""
+    if isinstance(s, oco.OcoState):
+        c = s.domain.project(rng.standard_normal(2))
+        oco.oco_round(s, lambda w: w - c)
+    else:
+        y = rng.uniform(-1.0, 1.0) if s.quadratic else rng.choice([-1.0, 1.0])
+        ensemble.observe(s, DataPoint(scale * rng.standard_normal(s.w0.size), float(y)))
 
 
 def _assert_mixture_invariants(s):
@@ -173,43 +180,37 @@ def _assert_mixture_invariants(s):
     assert np.max(np.abs(covs - np.swapaxes(covs, 1, 2))) <= 1e-12 * scale
     np.linalg.cholesky(covs)
     assert s.births == tuple(range(1, s.round + 1))
-    assert s.n_learners <= s.horizon + 1 and s._log_w.size <= s.horizon + 1
+    assert s.n_learners <= s.horizon + 1 and s._log_w.size == s.horizon + 1
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.sampled_from(["squared1d", "least_squares", "logistic", "oco"]),
-    st.integers(1, 20),
-    st.integers(1, 4),
-    st.floats(0.05, 3.0),
-    st.integers(0, 10_000),
-)
-def test_fixed_share_mixture_invariants(kind, T, capacity, scale, seed):
-    # random short streams through every learner on FixedShareMixture,
-    # starting from small buffers so that they double mid-stream
+@given(st.sampled_from(KINDS), st.integers(1, 20), st.floats(0.05, 3.0), st.integers(0, 10_000))
+def test_fixed_share_mixture_invariants(kind, T, scale, seed):
+    # random short streams through every learner on FixedShareMixture
     rng = np.random.default_rng(seed)
-    with mock.patch.object(ensemble, "_INITIAL_CAPACITY", capacity):
-        if kind == "oco":
-            dom = DomainSpec(2, scale)
-            s = oco.init_oco(dom, T, eta=1.0 / dom.diameter**2, G=2.0 * dom.R)
-        else:
-            d = 1 if kind == "squared1d" else 3
-            spec = {
-                "squared1d": LossSpec.squared_1d(),
-                "least_squares": LossSpec.least_squares(),
-                "logistic": LossSpec.logistic(),
-            }[kind]
-            s = ensemble.init(spec, DomainSpec(d, 1.0), T)
+    s = _mixture(kind, T, scale)
+    _assert_mixture_invariants(s)
+    for _ in range(T):
+        _advance(s, rng, scale)
         _assert_mixture_invariants(s)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_buffers_are_allocated_once_from_the_horizon(kind):
+    rng = np.random.default_rng(35)
+    T = 12
+    static = None if kind == "oco" else _mixture(kind, T, mu=0.0)  # static_ew
+    for s in filter(None, (_mixture(kind, T), static)):
+        history = ("_x_hist", "_y_hist") if isinstance(s, ensemble.EnsembleState) else ()
+        names = ("_log_w", "_births", "_means", "_covs") + history
+        buffers = [getattr(s, name) for name in names]
         for _ in range(T):
-            if kind == "oco":
-                c = dom.project(rng.standard_normal(2))
-                _, s = oco.oco_round(s, lambda w: w - c)
-            else:
-                x = scale * rng.standard_normal(d)
-                y = rng.uniform(-1.0, 1.0) if s.quadratic else rng.choice([-1.0, 1.0])
-                s = ensemble.observe(s, DataPoint(x, float(y)))
-            _assert_mixture_invariants(s)
+            _advance(s, rng)
+        assert all(getattr(s, name) is b for name, b in zip(names, buffers))
+        assert [len(b) for b in buffers[:4]] == [T + 1] * 4
+        if history:  # one history row per round, and only the logistic loss keeps one
+            assert len(s._x_hist) == len(s._y_hist) == (0 if s.quadratic else T)
+        assert s.n_learners == (1 if s is static else T + 1)
 
 
 def test_observe_advances_in_place_with_read_only_views():
@@ -315,7 +316,7 @@ def _cache_streams():
 
 def _assert_same_state(a, b):
     assert (a.round, a.births) == (b.round, b.births)
-    assert np.array_equal(a.log_weights, b.log_weights) and np.array_equal(a.x_hist, b.x_hist)
+    assert np.array_equal(a.log_weights, b.log_weights)
     assert np.array_equal(a.means(), b.means()) and np.array_equal(a.covs(), b.covs())
 
 
@@ -364,3 +365,4 @@ def test_pushforward_arrays_are_read_only():
             a[0] = 1.0
     ensemble.observe(s, pt)
     assert s.means()[0] @ pt.x != pf.mu[0]  # the forecast's copy outlives the round
+

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mixshare import bench, ensemble, oco
+from mixshare import bench, oco
 from mixshare.core import DimensionError, DomainSpec
 from mixshare.forecasters import GaussianMixture
 from mixshare.gaussian import LOG_2PI, logsumexp
@@ -383,17 +383,6 @@ def test_oco_stays_in_off_centre_domain(d, R, center, T, seed):
         assert dom.contains(w_t, tol=1e-9)
         assert dom.contains(s.means(), tol=1e-9)
         s.mixture.validate(dom)
-
-
-def test_oco_buffer_growth_keeps_every_number(monkeypatch):
-    preallocated, preds_a = _oco_run(20, 20, seed=49)
-    monkeypatch.setattr(ensemble, "_INITIAL_CAPACITY", 1)
-    doubling, preds_b = _oco_run(20, 20, seed=49)
-    assert np.array_equal(preds_a, preds_b)
-    assert doubling.births == preallocated.births == tuple(range(1, 22))
-    assert np.array_equal(doubling.log_weights, preallocated.log_weights)
-    assert np.array_equal(doubling.means(), preallocated.means())
-    assert np.array_equal(doubling.covs(), preallocated.covs())
 
 
 @pytest.mark.parametrize(
