@@ -55,6 +55,8 @@ class FixedShareMixture:
     """
 
     def __init__(self, w0: np.ndarray, horizon: int, mu: float | None = None):
+        if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)):
+            raise TypeError(f"horizon must be an int, got {horizon!r}")
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         if mu is None:
@@ -165,8 +167,7 @@ def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:
     state as it was.  Arrays read from ``s`` by view may change or go stale.
     """
     s.check_open()
-    if point.x.shape != s.w0.shape:
-        raise DimensionError(f"feature shape {point.x.shape}, expected {s.w0.shape}")
+    _check_shape(s, point.x)
     s.loss_spec.check_label(point.y)
     k = s.n_learners
     means, covs = s._means[:k], s._covs[:k]
@@ -188,12 +189,22 @@ def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:
     return s
 
 
+def _check_shape(s: EnsembleState, x: np.ndarray):
+    if x.shape != s.w0.shape:
+        raise DimensionError(f"feature shape {x.shape}, expected {s.w0.shape}")
+
+
 def pushforward_mixture(s: EnsembleState, x: np.ndarray) -> ScalarGaussianMixture:
     """1-D mixture of w'x, computed from the live components without copying
     them.  Its means and variances are read-only: ``observe`` reuses them,
     with cov x, when it is given a point with this very ``x`` in the same
-    round and ``x`` is read-only, so that its values cannot have changed."""
+    round and ``x`` is read-only, so that its values cannot have changed.
+    A wrong-shaped or non-finite ``x`` raises as it does in ``observe``."""
+    x = np.asarray(x, dtype=float)
+    _check_shape(s, x)
+    if not np.isfinite(x).all():
+        raise ValueError(f"features must be finite, got x = {x}")
     k = s.n_learners
     cov_x, xm, v = (_read_only(a) for a in pushforward_stack(s._means[:k], s._covs[:k], x))
-    s._pushforward = (s.round, x if isinstance(x, np.ndarray) else None, cov_x, xm, v)
+    s._pushforward = (s.round, x, cov_x, xm, v)
     return ScalarGaussianMixture(s.log_weights.copy(), xm, v)

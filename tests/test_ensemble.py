@@ -33,6 +33,13 @@ def test_init_rejects_bad_horizon_and_mu():
         ensemble.init(spec, dom, 10, mu=1.5)
     with pytest.raises(ValueError):
         oco.init_oco(DomainSpec(3, 1.0), 0, eta=0.25, G=2.0)
+    # the horizon sizes the buffers, so only an int (Python or numpy) is one
+    for horizon in (True, 2.5, 3.0, "3", None):
+        with pytest.raises(TypeError, match="horizon"):
+            ensemble.init(spec, dom, horizon)
+        with pytest.raises(TypeError, match="horizon"):
+            oco.init_oco(DomainSpec(3, 1.0), horizon, eta=0.25, G=2.0)
+    assert ensemble.init(spec, dom, np.int64(3)).horizon == 3
 
 
 def test_mu_representable_for_huge_horizon():
@@ -366,3 +373,16 @@ def test_pushforward_arrays_are_read_only():
     ensemble.observe(s, pt)
     assert s.means()[0] @ pt.x != pf.mu[0]  # the forecast's copy outlives the round
 
+
+@pytest.mark.parametrize(
+    "x, error",
+    [([np.nan], ValueError), ([np.inf], ValueError), (np.ones(2), DimensionError), (np.ones((1, 1)), DimensionError)],
+    ids=["nan", "inf", "too_long", "matrix"],
+)
+def test_pushforward_rejects_bad_features(x, error):
+    # the errors observe gives through DataPoint, before the pushforward runs
+    s, _ = _squared_state(T=10)
+    with pytest.raises(error):
+        ensemble.pushforward_mixture(s, x)
+    assert s._pushforward is None
+    assert np.array_equal(ensemble.pushforward_mixture(s, [0.5]).mu, [0.0])
