@@ -23,9 +23,11 @@ def _assert_final_line(line, metric_names):
 def test_bench_record_schema(path):
     record = json.loads(path.read_text())
     assert set(record) == {"commits", "machine", "perfbench", "pairs", "medians", "tier1"}
-    assert set(record["commits"]) == set(SIDES) and all(isinstance(c, str) and len(c) == 40 for c in record["commits"].values())
+    assert set(record["commits"]) == set(SIDES)
+    assert all(isinstance(c, str) and len(c) == 40 for c in record["commits"].values())
     machine = record["machine"]
-    assert isinstance(machine["nproc"], int) and all(isinstance(machine[k], str) for k in ("python", "numpy", "platform"))
+    assert isinstance(machine["nproc"], int)
+    assert all(isinstance(machine[k], str) for k in ("python", "numpy", "platform"))
     bench = record["perfbench"]
     assert bench["trace"] == 0 and isinstance(bench["seconds"], (int, float)) and bench["workloads"]
     names = set(record["pairs"][0]["parent"]["metrics"])  # the end-to-end metrics of its time
@@ -43,7 +45,8 @@ def test_bench_record_schema(path):
             assert set(record["medians"][workload][side]) == names
     for side in SIDES:
         run = record["tier1"][side]
-        assert isinstance(run["wall_s"], float) and isinstance(run["returncode"], int) and isinstance(run["summary"], str)
+        assert isinstance(run["wall_s"], float) and isinstance(run["returncode"], int)
+        assert isinstance(run["summary"], str)
         assert isinstance(run["failed"], list) and all(isinstance(test, str) for test in run["failed"])
         assert len(run["slowest"]) == 4
         for test in run["slowest"]:

@@ -166,7 +166,11 @@ def _mixture(kind, T, scale=1.0, mu=None):
     if kind == "oco":
         dom = DomainSpec(2, scale)
         return oco.init_oco(dom, T, eta=1.0 / dom.diameter**2, G=2.0 * dom.R)
-    spec = {"squared1d": LossSpec.squared_1d(), "least_squares": LossSpec.least_squares(), "logistic": LossSpec.logistic()}[kind]
+    spec = {
+        "squared1d": LossSpec.squared_1d(),
+        "least_squares": LossSpec.least_squares(),
+        "logistic": LossSpec.logistic(),
+    }[kind]
     return ensemble.init(spec, DomainSpec(1 if kind == "squared1d" else 3, 1.0), T, mu=mu)
 
 
@@ -176,8 +180,9 @@ def _advance(s, rng, scale=1.0):
         c = s.domain.project(rng.standard_normal(2))
         oco.oco_round(s, lambda w: w - c)
     else:
+        x = scale * rng.standard_normal(s.w0.size)
         y = rng.uniform(-1.0, 1.0) if s.quadratic else rng.choice([-1.0, 1.0])
-        ensemble.observe(s, DataPoint(scale * rng.standard_normal(s.w0.size), float(y)))
+        ensemble.observe(s, DataPoint(x, float(y)))
 
 
 def _assert_mixture_invariants(s):
@@ -206,8 +211,8 @@ def test_fixed_share_mixture_invariants(kind, T, scale, seed):
 def test_buffers_are_allocated_once_from_the_horizon(kind):
     rng = np.random.default_rng(35)
     T = 12
-    static = None if kind == "oco" else _mixture(kind, T, mu=0.0)  # static_ew
-    for s in filter(None, (_mixture(kind, T), static)):
+    states = [_mixture(kind, T)] + ([] if kind == "oco" else [_mixture(kind, T, mu=0.0)])  # and static_ew
+    for s in states:
         history = ("_x_hist", "_y_hist") if isinstance(s, ensemble.EnsembleState) else ()
         names = ("_log_w", "_births", "_means", "_covs") + history
         buffers = [getattr(s, name) for name in names]
@@ -217,7 +222,7 @@ def test_buffers_are_allocated_once_from_the_horizon(kind):
         assert [len(b) for b in buffers[:4]] == [T + 1] * 4
         if history:  # one history row per round, and only the logistic loss keeps one
             assert len(s._x_hist) == len(s._y_hist) == (0 if s.quadratic else T)
-        assert s.n_learners == (1 if s is static else T + 1)
+        assert s.n_learners == (1 if s.mu == 0.0 else T + 1)
 
 
 def test_observe_advances_in_place_with_read_only_views():

@@ -76,12 +76,11 @@ def tier1(tree: pathlib.Path) -> dict:
 def medians(pairs: list) -> dict:
     """Per workload, side and end-to-end metric, the median over the pairs."""
     out = {}
-    for pair in pairs:
-        for side in SIDES:
-            for name, metric in pair[side]["metrics"].items():
-                out.setdefault(pair["workload"], {}).setdefault(side, {}).setdefault(name, []).append(metric["value"])
-    return {w: {side: {name: statistics.median(v) for name, v in metrics.items()} for side, metrics in sides.items()}
-            for w, sides in out.items()}
+    for workload in dict.fromkeys(pair["workload"] for pair in pairs):
+        runs = [pair for pair in pairs if pair["workload"] == workload]
+        out[workload] = {side: {name: statistics.median(run[side]["metrics"][name]["value"] for run in runs)
+                                for name in runs[0][side]["metrics"]} for side in SIDES}
+    return out
 
 
 def main(argv=None) -> int:
