@@ -22,7 +22,7 @@ def _assert_final_line(line, metric_names):
 @pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
 def test_bench_record_schema(path):
     record = json.loads(path.read_text())
-    assert set(record) == {"commits", "machine", "perfbench", "pairs", "medians", "tier1"}
+    assert set(record) == {"commits", "machine", "perfbench", "pairs", "quartiles", "tier1"}
     assert set(record["commits"]) == set(SIDES)
     assert all(isinstance(c, str) and len(c) == 40 for c in record["commits"].values())
     machine = record["machine"]
@@ -34,15 +34,19 @@ def test_bench_record_schema(path):
     assert names and all(isinstance(name, str) for name in names)
     for workload in bench["workloads"]:
         pairs = [p for p in record["pairs"] if p["workload"] == workload]
-        assert len(pairs) >= 3, f"{workload}: fewer than three pairs"
+        assert len(pairs) >= 10, f"{workload}: fewer than ten pairs"
         assert [p["first"] for p in pairs] == [SIDES[i % 2] for i in range(len(pairs))], "sides must alternate"
         for pair in pairs:
             assert isinstance(pair["seed"], int)
+            assert set(pair["reps"]) == set(SIDES) and all(isinstance(n, int) for n in pair["reps"].values())
             for side in SIDES:
                 _assert_final_line(pair[side], names)
-        assert set(record["medians"][workload]) == set(SIDES)
+        assert set(record["quartiles"][workload]) == set(SIDES)
         for side in SIDES:
-            assert set(record["medians"][workload][side]) == names
+            table = record["quartiles"][workload][side]
+            assert set(table) == names | {"reps"}
+            for q1, median, q3 in table.values():
+                assert q1 <= median <= q3
     for side in SIDES:
         run = record["tier1"][side]
         assert isinstance(run["wall_s"], float) and isinstance(run["returncode"], int)

@@ -1,18 +1,19 @@
 """Paired perfbench runs of a parent revision and a change, written to one JSON file.
 
-    python3 tools/bench_record.py PARENT CHANGE --out BENCH_16.json [--pairs 3] [--seconds 60]
+    python3 tools/bench_record.py PARENT CHANGE --out BENCH_16.json
 
 Extracts both revisions with `git archive` into a temporary directory.
 Then, for each workload that `BENCHMARK.json` checks and each pair
-i = 0 .. pairs-1, it runs each side's own, unmodified
-`perfbench/run.py --workload W --seed i --trace 0 --seconds S`: the
-parent first on even pairs, the change first on odd ones. Last, it runs
-each side's Tier-1 suite once and keeps its wall time and its four
-slowest tests.
+i = 0 .. PAIRS-1, it runs each side's own, unmodified
+`perfbench/run.py --workload W --seed i --trace 0 --seconds S`, with S
+the `run_seconds` of `BENCHMARK.json`: the parent first on even pairs,
+the change first on odd ones. Last, it runs each side's Tier-1 suite
+once and keeps its wall time and its four slowest tests.
 
 The output holds both commit ids, `nproc` and the Python and numpy
-versions, every run's final JSON line, the per-workload medians of the
-end-to-end metrics and the two Tier-1 records. Run from the repository
+versions, every run's final JSON line and repetition count, the
+per-workload quartiles (q1, median, q3) of the end-to-end metrics and of
+the repetitions, and the two Tier-1 records. Run from the repository
 root; the checkout itself is left as it is.
 """
 
@@ -34,6 +35,7 @@ import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def extract(rev: str, dest: pathlib.Path) -> str:
@@ -47,14 +49,15 @@ def extract(rev: str, dest: pathlib.Path) -> str:
     return sha
 
 
-def perfbench(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
-    """The final JSON line of one untraced perfbench run in ``tree``."""
+def perfbench(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> tuple:
+    """The final JSON line and the repetition count of one untraced perfbench run in ``tree``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", "0", "--seconds", str(seconds)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} failed in {tree}:\n{out.stderr[-2000:]}")
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    *_, record, final = out.stdout.strip().splitlines()
+    return json.loads(final), json.loads(record)["reps"]
 
 
 def tier1(tree: pathlib.Path) -> dict:
@@ -73,13 +76,18 @@ def tier1(tree: pathlib.Path) -> dict:
             "summary": lines[-1].strip("= ") if lines else "", "failed": failed, "slowest": slowest}
 
 
-def medians(pairs: list) -> dict:
-    """Per workload, side and end-to-end metric, the median over the pairs."""
+def quartiles(pairs: list) -> dict:
+    """Per workload and side, [q1, median, q3] over the pairs of each end-to-end metric and of the reps."""
+    def q(values):
+        return statistics.quantiles(values, n=4, method="inclusive")
+
     out = {}
     for workload in dict.fromkeys(pair["workload"] for pair in pairs):
         runs = [pair for pair in pairs if pair["workload"] == workload]
-        out[workload] = {side: {name: statistics.median(run[side]["metrics"][name]["value"] for run in runs)
+        out[workload] = {side: {name: q([run[side]["metrics"][name]["value"] for run in runs])
                                 for name in runs[0][side]["metrics"]} for side in SIDES}
+        for side in SIDES:
+            out[workload][side]["reps"] = q([run["reps"][side] for run in runs])
     return out
 
 
@@ -88,22 +96,20 @@ def main(argv=None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--out", required=True, type=pathlib.Path)
-    parser.add_argument("--pairs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=60.0)
     args = parser.parse_args(argv)
-    if args.pairs < 3:
-        parser.error("--pairs must be at least 3")
-    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    workloads = [w["name"] for w in benchmark["workloads"]]
     with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
         trees = {side: pathlib.Path(tmp) / side for side in SIDES}
         commits = {side: extract(rev, trees[side]) for side, rev in zip(SIDES, (args.parent, args.change))}
         pairs = []
         for workload in workloads:
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
-                pair = {"workload": workload, "seed": i, "first": order[0]}
+                pair = {"workload": workload, "seed": i, "first": order[0], "reps": {}}
                 for side in order:
-                    pair[side] = perfbench(trees[side], workload, i, args.seconds)
+                    pair[side], pair["reps"][side] = perfbench(trees[side], workload, i, seconds)
                     print(f"{workload} seed {i} {side}: {json.dumps(pair[side]['metrics'])}", file=sys.stderr)
                 pairs.append(pair)
         tier1_runs = {side: tier1(trees[side]) for side in SIDES}
@@ -111,9 +117,9 @@ def main(argv=None) -> int:
         "commits": commits,
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__,
                     "platform": platform.platform()},
-        "perfbench": {"trace": 0, "seconds": args.seconds, "workloads": workloads},
+        "perfbench": {"trace": 0, "seconds": seconds, "workloads": workloads},
         "pairs": pairs,
-        "medians": medians(pairs),
+        "quartiles": quartiles(pairs),
         "tier1": tier1_runs,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
