@@ -14,13 +14,15 @@ what outlives the round.
 Every slot holds a mean and a covariance.  A round reads the 1-D
 pushforward (cov x, x'm, v) of the components along x once: the
 forecast's ``pushforward_mixture`` keeps it, and ``observe`` reuses it
-for a point with the same read-only x in the same round.  A squared-loss
-factor is one rank-one Gaussian tilt on it, so a quadratic round costs
-O(k d^2) and solves no system.  The logistic loss takes its mix factors
-from ``posterior.log_logistic_mix_factors`` on it, then refits Laplace
-modes over the shared history, read in place, by ``posterior.laplace_refit``
-and stores the inverse Hessians.  Both factor sources return finite logs for
-every finite point, so the weights are reweighted in log space with no floor.
+for a point with the same read-only x in the same round.  Every loss
+then updates every component by one rank-one write along cov x,
+``gaussian.rank_one_update``, from the (log factor, alpha, beta) of its
+tilt: ``gaussian.quadratic_tilt`` in closed form for the squared kinds,
+and the moment-matched ``posterior.logistic_tilt`` for the logistic
+loss.  So a round costs O(k d^2), plus O(64 k) for the logistic
+quadrature, solves no system and keeps no history.  Both sources return
+finite logs for every finite point, so the weights are reweighted in log
+space with no floor.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 
 from .core import DataPoint, DimensionError, DomainSpec, LossKind, LossSpec
 from .forecasters import GaussianMixture, ScalarGaussianMixture
-from .gaussian import logsumexp, pushforward_stack, tilt_in_place
-from .posterior import laplace_refit, log_logistic_mix_factors
+from .gaussian import logsumexp, pushforward_stack, quadratic_tilt, rank_one_update
+from .posterior import logistic_tilt
 
 
 class HorizonExceededError(RuntimeError):
@@ -136,19 +138,12 @@ class FixedShareMixture:
 
 
 class EnsembleState(FixedShareMixture):
-    """The live ensemble.  ``observe`` mutates it in place.
-
-    The logistic loss also keeps the shared observation history, row t-1
-    of (horizon, d) and (horizon,) buffers at round t: the learner born at
-    round b uses history rows b-1 onward.  The quadratic kinds keep none.
-    """
+    """The live ensemble.  ``observe`` mutates it in place."""
 
     def __init__(self, loss_spec: LossSpec, domain: DomainSpec, horizon: int, mu: float | None):
         super().__init__(domain.center.copy(), horizon, mu)
         self.loss_spec = loss_spec
         self.quadratic = loss_spec.kind in (LossKind.SQUARED_1D, LossKind.LEAST_SQUARES)
-        rows = 0 if self.quadratic else horizon
-        self._x_hist, self._y_hist = np.empty((rows, domain.d)), np.empty(rows)
         # (round, x, cov_x, x'm, v) of the last pushforward_mixture
         self._pushforward = None
 
@@ -178,13 +173,10 @@ def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:
         cov_x, xm, v = pushforward_stack(means, covs, x)
     if s.quadratic:
         # exp(-eta (x'w - y)^2) is the tilt with a = eta, b = 0 on s = x'w - y
-        log_factors = tilt_in_place(means, covs, cov_x, xm - point.y, v, s.loss_spec.eta, 0.0)
+        log_factors, alpha, beta = quadratic_tilt(xm - point.y, v, s.loss_spec.eta, 0.0)
     else:
-        log_factors = log_logistic_mix_factors(xm, v, point.y)
-        t = s.round
-        s._x_hist[t - 1], s._y_hist[t - 1] = x, point.y
-        means[:], hessians = laplace_refit(means, s.w0, s._x_hist[:t], s._y_hist[:t], s._births[:k] - 1)
-        covs[:] = np.linalg.inv(hessians)
+        log_factors, alpha, beta = logistic_tilt(xm, v, point.y)
+    rank_one_update(means, covs, cov_x, alpha, beta)
     s.fixed_share(log_factors)
     return s
 

@@ -4,10 +4,12 @@ Closed-form entropy and KL divergence of one Gaussian, and the one 1-D
 Gaussian integral behind every quadratic mix factor, the normalizer of
 the tilt exp(-a s^2 - b s), evaluated elementwise over stacked arrays of
 pushforward means and variances.  The squared-loss factor is its
-special case a = 1/(2 B^2), b = 0 on the residual mean.  Also the
-rank-one tilt of a stack of Gaussians, in two parts: the 1-D pushforward
-along x, which a forecast can read first, and the in-place write that
-uses it; and a numpy log-sum-exp.
+special case a = 1/(2 B^2), b = 0 on the residual mean.  Also the one
+posterior update of a stack of Gaussians, in two parts: the 1-D
+pushforward along x, which a forecast can read first, and the in-place
+rank-one write that uses it, driven by (log factor, alpha, beta) from the
+quadratic tilt here or from ``posterior.logistic_tilt``; and a numpy
+log-sum-exp.
 The integral is returned in log-space, so that long products of
 per-round weight factors stay stable.
 """
@@ -113,7 +115,7 @@ def pushforward_stack(means: np.ndarray, covs: np.ndarray, x: np.ndarray) -> tup
 
     Returns (cov_x, x'm, v): the (k, d) products covs @ x, the means
     x'means[i] and the variances v = x' covs[i] x, floored at 0 against
-    round-off.  ``tilt_in_place`` reads all three.
+    round-off.  ``rank_one_update`` reads cov_x; the tilts read x'm and v.
     """
     x = np.asarray(x, dtype=float)
     k, d, _ = covs.shape
@@ -121,23 +123,32 @@ def pushforward_stack(means: np.ndarray, covs: np.ndarray, x: np.ndarray) -> tup
     return cov_x, means @ x, np.maximum(cov_x @ x, 0.0)
 
 
-def tilt_in_place(means: np.ndarray, covs: np.ndarray, cov_x: np.ndarray, mu: np.ndarray, v: np.ndarray,
-                  a: float, b: float) -> np.ndarray:
-    """Tilt every N(means[i], covs[i]) by exp(-a s^2 - b s) in place, given
-    the pushforward (cov_x, v) along x and the shifted means mu = x'm - c.
+def quadratic_tilt(mu, v, a: float, b: float) -> tuple:
+    """The tilt exp(-a s^2 - b s) of every s ~ N(mu_i, v_i), as the
+    (log factor, alpha, beta) that ``rank_one_update`` writes.
 
-    The tilt adds 2a x x' to each precision, so Sherman-Morrison gives
-    cov' = cov - 2a (cov x)(cov x)' / (1 + 2a v), and the mean moves to
-    m' = m - (2a mu + b) cov x / (1 + 2a v).  Symmetric covariances stay
-    exactly symmetric and no system is solved.  Returns the per-component
-    log normalizers log E_i[exp(-a s^2 - b s)]; the caller owns the
-    component weights.
+    The tilt adds 2a to the precision along s, so the tilted variance is
+    v / (1 + 2av) and the tilted mean mu - (2a mu + b) v / (1 + 2av):
+    alpha = -(2a mu + b) / (1 + 2av) and beta = -2a / (1 + 2av).  The log
+    factor is ``log_tilted_gauss_integral``; no system is solved.
     """
-    log_factors = log_tilted_gauss_integral(mu, v, a, b)
     one_plus = 1.0 + 2.0 * a * v
-    means -= ((2.0 * a * mu + b) / one_plus)[:, None] * cov_x
-    covs -= (2.0 * a / one_plus)[:, None, None] * (cov_x[:, :, None] * cov_x[:, None, :])
-    return log_factors
+    return log_tilted_gauss_integral(mu, v, a, b), -(2.0 * a * mu + b) / one_plus, -2.0 * a / one_plus
+
+
+def rank_one_update(means: np.ndarray, covs: np.ndarray, cov_x: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
+    """Move every N(means[i], covs[i]) to the Gaussian whose pushforward
+    along x has mean x'm + alpha v and variance v + beta v^2, in place.
+
+    With the pushforward (cov_x, v) of ``pushforward_stack``, that is
+    m' = m + alpha cov x and cov' = cov + beta (cov x)(cov x)': the law
+    of w given x'w is kept, so a factor of w through x'w alone acts on
+    each Gaussian only through (alpha, beta).  Symmetric covariances stay
+    exactly symmetric, and cov' stays positive definite while
+    1 + beta v > 0, that is, while the new variance along x is positive.
+    """
+    means += alpha[:, None] * cov_x
+    covs += beta[:, None, None] * (cov_x[:, :, None] * cov_x[:, None, :])
 
 
 def logsumexp(a, axis=None, b=None):

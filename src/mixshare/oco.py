@@ -29,7 +29,7 @@ import numpy as np
 from .core import DimensionError, DomainSpec
 from .ensemble import FixedShareMixture
 from .forecasters import GaussianMixture
-from .gaussian import LOG_2PI, logsumexp, pushforward_stack, tilt_in_place
+from .gaussian import LOG_2PI, logsumexp, pushforward_stack, quadratic_tilt, rank_one_update
 
 
 class ConstraintViolationError(ValueError):
@@ -108,11 +108,14 @@ def ew_update_surrogate(mix: GaussianMixture, g: np.ndarray, w_ref: np.ndarray, 
 
     The tilt is exp(-a s^2 - b s) for a = gamma^2/4 and b = gamma/2: the
     pushforward along g (``gaussian.pushforward_stack``), then
-    ``gaussian.tilt_in_place`` on the shifted means g'm - g'w_ref.  Returns
-    the per-component log factors; the caller owns the weights.
+    ``gaussian.quadratic_tilt`` on the shifted means g'm - g'w_ref and the
+    ensemble's rank-one write, ``gaussian.rank_one_update``.  Returns the
+    per-component log factors; the caller owns the weights.
     """
     cov_x, gm, v = pushforward_stack(mix.means, mix.covs, g)
-    return tilt_in_place(mix.means, mix.covs, cov_x, gm - float(g @ w_ref), v, gamma * gamma / 4.0, gamma / 2.0)
+    log_factors, alpha, beta = quadratic_tilt(gm - float(g @ w_ref), v, gamma * gamma / 4.0, gamma / 2.0)
+    rank_one_update(mix.means, mix.covs, cov_x, alpha, beta)
+    return log_factors
 
 
 def approx_project_to_M(mix: GaussianMixture, domain: DomainSpec, T: int) -> None:

@@ -3,15 +3,17 @@
 Quadratic losses admit an exact Gaussian recursion in natural parameters
 (precision, shift); ``QuadraticPosterior`` keeps it for one learner as the
 independent reference of the ensemble's covariance-form tilts.  The
-logistic loss uses a Laplace approximation refit by warm-started damped
-Newton after each observation.  ``laplace_refit`` is the package's only
-Newton refit: it refits a batch of learners, each over its own suffix of
-one shared history, so the ensemble refits all of its learners in one
-call.  ``log_logistic_mix_factors`` is the package's only Gauss-Hermite
-quadrature, on one fixed 64-node rule that is built on its first use
-(``gauss_hermite_rule``): it gives the per-round mix factors
-E_P[exp(-loss)] consumed by the meta-learner, which are also the log label
-probabilities of the logistic forecaster and mix loss.  The logistic
+logistic factor of a Gaussian has no Gaussian closed form, so
+``logistic_tilt`` moment-matches it (assumed-density filtering): it
+returns the (log factor, alpha, beta) of the Gaussian with the tilted
+mean and variance of the score, which ``gaussian.rank_one_update`` writes
+along cov x exactly as it writes a quadratic tilt, so the logistic
+learners keep no history and refit nothing.  ``log_logistic_mix_factors``
+is the package's only Gauss-Hermite quadrature, on one fixed 64-node rule
+that is built on its first use (``gauss_hermite_rule``): it gives the
+per-round mix factors E_P[exp(-loss)] consumed by the meta-learner, which
+are also the log label probabilities of the logistic forecaster and mix
+loss, and the tilted moments are taken on the same nodes.  The logistic
 family's learning rate is fixed at 1 (``core.LossSpec``), so no function
 here takes a rate.
 """
@@ -24,11 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataPoint, LabelRangeError
-from .gaussian import log_tilted_gauss_integral, logsumexp
-
-
-class NewtonConvergenceError(RuntimeError):
-    """Laplace mode refit found no decrease or missed the gradient tolerance."""
+from .gaussian import CovarianceError, log_tilted_gauss_integral, logsumexp
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,7 @@ class QuadraticPosterior:
     mean = precision^{-1} shift and cov = precision^{-1}; the prior
     N(w0, I_d) contributes precision I and shift w0, and each observation
     adds the exact rank-one terms x x'/B^2 and y x/B^2.  The ensemble
-    keeps covariance form instead (``gaussian.tilt_in_place``); this
+    keeps covariance form instead (``gaussian.rank_one_update``); this
     recursion is the independent reference it is tested against.
     """
 
@@ -61,7 +59,7 @@ class QuadraticPosterior:
 
     @property
     def cov(self) -> np.ndarray:
-        return np.linalg.inv(self.precision)
+        return np.linalg.solve(self.precision, np.eye(self.d))
 
 
 def quad_update(p: QuadraticPosterior, point: DataPoint, B: float) -> QuadraticPosterior:
@@ -103,73 +101,6 @@ def quad_variance_recursion_check(steps: int, sigma1_sq: float = 1.0) -> float:
     return s
 
 
-GRAD_TOL = 1e-8
-MAX_NEWTON_ITER = 50
-MAX_HALVINGS = 40
-
-
-def _laplace_value_grad_hess(modes, w0, X, y, mask):
-    """F_j, its gradient and its Hessian at ``modes[j]`` for every learner j.
-
-    F_j(w) = ||w - w0||^2 / 2 + the sum of logistic losses over the rows
-    of (X, y) where ``mask[:, j]`` is 1.
-    """
-    delta = modes - w0[None, :]
-    z = X @ modes.T  # (n, k)
-    losses = np.logaddexp(0.0, -y[:, None] * z)
-    values = 0.5 * np.sum(delta * delta, axis=1) + np.sum(mask * losses, axis=0)
-    p = 1.0 / (1.0 + np.exp(-np.abs(z)))
-    sig = np.where(z >= 0, p, 1.0 - p)  # sigma(z)
-    coeff = -y[:, None] * np.where(y[:, None] > 0, 1.0 - sig, sig)
-    grads = delta + (X.T @ (mask * coeff)).T
-    # sum_n w_nk x_n x_n' for every learner k as one (k, n) @ (n, d*d) product
-    n, d = X.shape
-    weights = mask * sig * (1.0 - sig)
-    outer = (X[:, :, None] * X[:, None, :]).reshape(n, d * d)
-    hess = np.eye(d) + (weights.T @ outer).reshape(-1, d, d)
-    return values, grads, hess
-
-
-def laplace_refit(modes, w0, X, y, starts):
-    """Refit every Laplace mode by batched, warm-started damped Newton.
-
-    Learner j minimizes F_j over the history rows ``starts[j]:`` of the
-    shared (X, y), starting from ``modes[j]``; a (rows, learners) mask
-    realizes the per-learner sums in shared array operations.  Returns
-    the new (modes, hessians).  Raises ``NewtonConvergenceError`` when a
-    line search finds no decrease or the gradient tolerance is not met.
-    """
-    mask = (np.arange(X.shape[0])[:, None] >= np.asarray(starts)[None, :]).astype(float)  # (n, k)
-    f_val, grads, hess = _laplace_value_grad_hess(modes, w0, X, y, mask)
-    for _ in range(MAX_NEWTON_ITER):
-        if np.max(np.linalg.norm(grads, axis=1)) <= GRAD_TOL:
-            return modes, hess
-        steps = np.linalg.solve(hess, grads[..., None])[..., 0]
-        # Near the minimum the true decrease falls below rounding noise in
-        # F, so a strict non-increase test would reject the final Newton
-        # step; allow rounding-level slack.
-        slack = 1e-12 * np.maximum(1.0, np.abs(f_val))
-        alpha = np.ones(len(modes))
-        for _ in range(MAX_HALVINGS):
-            trial = modes - alpha[:, None] * steps
-            f_new, g_new, h_new = _laplace_value_grad_hess(trial, w0, X, y, mask)
-            bad = f_new > f_val + slack
-            if not np.any(bad):
-                break
-            alpha = np.where(bad, 0.5 * alpha, alpha)
-        else:
-            raise NewtonConvergenceError(
-                f"no decrease in F for {int(np.sum(bad))} learner(s) after {MAX_HALVINGS} halvings"
-            )
-        modes, f_val, grads, hess = trial, f_new, g_new, h_new
-    norms = np.linalg.norm(grads, axis=1)
-    if np.max(norms) <= GRAD_TOL:
-        return modes, hess
-    raise NewtonConvergenceError(
-        f"worst gradient norm {np.max(norms):.3e} after {MAX_NEWTON_ITER} Newton iterations"
-    )
-
-
 @functools.cache
 def gauss_hermite_rule() -> tuple:
     """The 64-node Gauss-Hermite rule (nodes t_j, weights w_j), read-only.
@@ -185,13 +116,48 @@ def gauss_hermite_rule() -> tuple:
     return nodes, weights
 
 
+def _log_sigmoid_at_nodes(mu, v, y: float) -> np.ndarray:
+    """log sigmoid(y z) at the nodes z = mu_i + sqrt(2 v_i) t_j of every N(mu_i, v_i); (k, 64)."""
+    nodes, _ = gauss_hermite_rule()
+    z = mu[:, None] + np.sqrt(2.0 * v)[:, None] * nodes[None, :]
+    return -np.logaddexp(0.0, -y * z)
+
+
 def log_logistic_mix_factors(mu, v, y: float) -> np.ndarray:
     """log E[exp(-logistic(z, y))] for z ~ N(mu_i, v_i), for every i.
 
     64-node Gauss-Hermite quadrature (``gauss_hermite_rule``) in log-space;
     capped at 0 since the loss is nonnegative.
     """
+    _, weights = gauss_hermite_rule()
+    return np.minimum(logsumexp(_log_sigmoid_at_nodes(mu, v, y), b=weights[None, :] / np.sqrt(np.pi), axis=1), 0.0)
+
+
+def logistic_tilt(mu, v, y: float) -> tuple:
+    """Moment-match the tilt sigmoid(y z) of every z ~ N(mu_i, v_i), as the
+    (log factor, alpha, beta) that ``gaussian.rank_one_update`` writes.
+
+    The log factor is ``log_logistic_mix_factors``.  The tilted mean and
+    variance are taken on the same nodes z_j = mu + sqrt(2v) t_j: with
+    node weights r_j proportional to w_j sigmoid(y z_j), the tilted mean
+    is mu + sqrt(2v) E_r[t] and the tilted variance 2v Var_r[t].  Then
+    alpha = (tilted mean - mu) / v and beta = (tilted variance - v) / v^2,
+    so the updated Gaussian has exactly the tilted moments along x; both
+    are 0 where v = 0, where the factor does not depend on w.  A tilted
+    variance that is not finite, or not positive where v > 0, raises
+    ``gaussian.CovarianceError``: it would leave a covariance that is not
+    positive definite.
+    """
     nodes, weights = gauss_hermite_rule()
-    z = mu[:, None] + np.sqrt(2.0 * v)[:, None] * nodes[None, :]
-    log_vals = -np.logaddexp(0.0, -y * z)
-    return np.minimum(logsumexp(log_vals, b=weights[None, :] / np.sqrt(np.pi), axis=1), 0.0)
+    log_lik = _log_sigmoid_at_nodes(mu, v, y)
+    r = weights * np.exp(log_lik - log_lik.max(axis=1, keepdims=True))  # shifted: none overflows
+    r /= r.sum(axis=1, keepdims=True)
+    t_mean = r @ nodes
+    t_var = np.sum(r * np.square(nodes[None, :] - t_mean[:, None]), axis=1)
+    tilted_v = 2.0 * v * t_var
+    if not np.all(np.isfinite(tilted_v) & ((tilted_v > 0.0) | (v == 0.0))):
+        raise CovarianceError(f"moment-matched logistic variance is not positive and finite: {tilted_v}")
+    on_x = v > 0.0
+    alpha = np.divide(np.sqrt(2.0 * v) * t_mean, v, out=np.zeros_like(v), where=on_x)
+    beta = np.divide(2.0 * t_var - 1.0, v, out=np.zeros_like(v), where=on_x)  # (2v Var_r[t] - v) / v^2
+    return log_logistic_mix_factors(mu, v, y), alpha, beta

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixshare import ensemble, forecasters, oco
-from mixshare.core import DataPoint, DimensionError, DomainSpec, LabelRangeError, LossKind, LossSpec, logistic_loss
+from mixshare.core import DataPoint, DimensionError, DomainSpec, LabelRangeError, LossKind, LossSpec
 from mixshare.gaussian import logsumexp
-from mixshare.posterior import QuadraticPosterior, laplace_refit, quad_update
+from mixshare.posterior import QuadraticPosterior, quad_update
 from mixshare.verification import gaussian_grid, grid_fixed_share_round, grid_predict_squared
 
 
@@ -213,15 +213,12 @@ def test_buffers_are_allocated_once_from_the_horizon(kind):
     T = 12
     states = [_mixture(kind, T)] + ([] if kind == "oco" else [_mixture(kind, T, mu=0.0)])  # and static_ew
     for s in states:
-        history = ("_x_hist", "_y_hist") if isinstance(s, ensemble.EnsembleState) else ()
-        names = ("_log_w", "_births", "_means", "_covs") + history
+        names = ("_log_w", "_births", "_means", "_covs")
         buffers = [getattr(s, name) for name in names]
         for _ in range(T):
             _advance(s, rng)
         assert all(getattr(s, name) is b for name, b in zip(names, buffers))
-        assert [len(b) for b in buffers[:4]] == [T + 1] * 4
-        if history:  # one history row per round, and only the logistic loss keeps one
-            assert len(s._x_hist) == len(s._y_hist) == (0 if s.quadratic else T)
+        assert [len(b) for b in buffers] == [T + 1] * 4
         assert s.n_learners == (1 if s.mu == 0.0 else T + 1)
 
 
@@ -248,42 +245,6 @@ def test_rejected_point_leaves_state_untouched(point, error):
     assert (s.round, s.births) == before[:2]
     for got, want in zip((s.log_weights, s.means(), s.covs()), before[2:]):
         assert np.array_equal(got, want)
-
-
-def test_logistic_branch_matches_per_learner_laplace():
-    # one refit over a shared history and a mask vs one refit per learner on its own suffix
-    rng = np.random.default_rng(33)
-    spec = LossSpec.logistic()
-    w0 = np.zeros(2)
-    s = ensemble.init(spec, DomainSpec(2, 1.0), 20)
-    X, y = np.zeros((0, 2)), np.zeros(0)
-    modes, hessians = [w0], [np.eye(2)]
-    for t in range(12):
-        pt = DataPoint(rng.standard_normal(2), 1.0 if rng.uniform() < 0.5 else -1.0)
-        s = ensemble.observe(s, pt)
-        X, y = np.vstack([X, pt.x]), np.append(y, pt.y)
-        for j in range(len(modes)):  # learner j was born at round j + 1
-            m, h = laplace_refit(modes[j][None, :], w0, X[j:], y[j:], [0])
-            modes[j], hessians[j] = m[0], h[0]
-        modes.append(w0)
-        hessians.append(np.eye(2))
-    assert np.allclose(s.means(), np.stack(modes), atol=1e-7)
-    assert np.allclose(s.covs(), np.linalg.inv(np.stack(hessians)), atol=1e-7)
-
-
-def test_logistic_modes_match_grid_argmin_of_their_suffix_1d():
-    # learner born at round b minimizes w^2/2 + sum of losses from round b on
-    rng = np.random.default_rng(35)
-    s = ensemble.init(LossSpec.logistic(), DomainSpec(1, 1.0), 10)
-    pts = []
-    for _ in range(8):
-        pts.append(DataPoint(np.array([rng.uniform(0.5, 1.5)]), 1.0 if rng.uniform() < 0.7 else -1.0))
-        s = ensemble.observe(s, pts[-1])
-    assert s.births == tuple(range(1, 10))
-    ws = np.linspace(-4, 4, 80_001)
-    for b, mode in zip(s.births, s.means()[:, 0]):
-        F = 0.5 * ws**2 + sum(logistic_loss(ws * pt.x[0], pt.y) for pt in pts[b - 1 :])
-        assert mode == pytest.approx(ws[np.argmin(F)], abs=1e-4)
 
 
 def test_logistic_rejects_bad_label():

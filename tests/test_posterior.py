@@ -6,19 +6,17 @@ import sys
 import numpy as np
 import pytest
 
-from mixshare import posterior
-from mixshare.core import DataPoint, LabelRangeError, logistic_loss
-from mixshare.gaussian import GaussianDist
+from mixshare import ensemble, posterior
+from mixshare.core import DataPoint, DomainSpec, LabelRangeError, LossSpec, logistic_loss
+from mixshare.gaussian import CovarianceError, GaussianDist, pushforward_stack, rank_one_update
 from mixshare.posterior import (
-    NewtonConvergenceError,
     QuadraticPosterior,
-    laplace_refit,
     log_logistic_mix_factors,
     log_quad_mix_factor,
+    logistic_tilt,
     quad_update,
     quad_variance_recursion_check,
 )
-from mixshare.verification import gaussian_grid
 
 
 def test_anchor_posterior_is_standard():
@@ -85,101 +83,75 @@ def test_variance_recursion_zero_absorbing():
     assert quad_variance_recursion_check(steps=5, sigma1_sq=0.0) == 0.0
 
 
-def _refit_one(mode, X, y):
-    """One learner's Laplace refit over the whole history (X, y)."""
-    modes, hessians = laplace_refit(mode[None, :], np.zeros(mode.size), X, y, [0])
-    return modes[0], hessians[0]
+@pytest.mark.parametrize(
+    "mu, v, y", [(0.0, 1.0, 1.0), (1.5, 0.3, -1.0), (-2.0, 4.0, 1.0), (0.7, 0.01, -1.0), (3.0, 2.0, -1.0)]
+)
+def test_logistic_tilt_matches_dense_grid_moments(mu, v, y):
+    # the updated pushforward N(mu + alpha v, v + beta v^2) has the tilted moments of
+    # N(mu, v) * sigmoid(y z), and exp(log factor) its mass; 64 nodes against 200 001 grid
+    # points within +-12 sd: measured 3.3e-10 (mean), 1.2e-9 (relative variance) and
+    # 3.3e-12 (mass) at worst, at v = 4; bounds 1e-8 and 1e-10 leave a margin of 8-30x
+    log_factor, alpha, beta = logistic_tilt(np.array([mu]), np.array([v]), y)
+    z = np.linspace(mu - 12 * np.sqrt(v), mu + 12 * np.sqrt(v), 200_001)
+    dens = np.exp(-((z - mu) ** 2) / (2 * v) - logistic_loss(z, y))
+    mass = dens.sum()
+    mean = (z * dens).sum() / mass
+    var = ((z - mean) ** 2 * dens).sum() / mass
+    assert mu + alpha[0] * v == pytest.approx(mean, abs=1e-8)
+    assert v + beta[0] * v * v == pytest.approx(var, rel=1e-8)
+    assert 0.0 < v + beta[0] * v * v < v
+    assert np.exp(log_factor[0]) == pytest.approx(mass * (z[1] - z[0]) / np.sqrt(2 * np.pi * v), abs=1e-10)
 
 
-def _logistic_factor(mode, hessian, pt):
-    """E[exp(-logistic loss)] under N(mode, inv(hessian)) pushed along x."""
-    mu = np.array([mode @ pt.x])
-    v = np.array([pt.x @ np.linalg.solve(hessian, pt.x)])
-    return float(np.exp(log_logistic_mix_factors(mu, v, pt.y)[0]))
+def test_logistic_tilt_is_zero_off_x_and_finite_for_tiny_variance():
+    # v = 0: the factor does not depend on w, so alpha = beta = 0; a tiny v moves the
+    # variance by a tiny amount, with no overflow in (tilted v - v) / v^2
+    log_factor, alpha, beta = logistic_tilt(np.array([0.3, 0.3, -0.2]), np.array([0.0, 1e-300, 1e-12]), -1.0)
+    assert alpha[0] == beta[0] == 0.0
+    assert np.isfinite(alpha).all() and np.isfinite(beta).all()
+    assert np.all(1.0 + beta * np.array([0.0, 1e-300, 1e-12]) > 0.0)
+    assert np.array_equal(log_factor, log_logistic_mix_factors(np.array([0.3, 0.3, -0.2]),
+                                                                np.array([0.0, 1e-300, 1e-12]), -1.0))
 
 
-def test_laplace_anchor_state():
-    # with no observations the Laplace posterior is the anchor N(w0, I)
-    mode, hessian = _refit_one(np.zeros(3), np.zeros((0, 3)), np.zeros(0))
-    assert np.array_equal(mode, np.zeros(3))
-    assert np.array_equal(hessian, np.eye(3))
+def test_zero_features_leave_logistic_components_bit_identical():
+    rng = np.random.default_rng(14)
+    s = ensemble.init(LossSpec.logistic(), DomainSpec(2, 1.0), 10)
+    for _ in range(5):
+        ensemble.observe(s, DataPoint(rng.standard_normal(2), float(rng.choice([-1.0, 1.0]))))
+    means, covs = s.means(), s.covs()
+    ensemble.observe(s, DataPoint(np.zeros(2), 1.0))
+    assert np.array_equal(s.means()[:-1], means)
+    assert np.array_equal(s.covs()[:-1], covs)
 
 
-def test_laplace_update_reaches_gradient_tolerance():
-    rng = np.random.default_rng(11)
-    mode, X, y = np.zeros(2), np.zeros((0, 2)), np.zeros(0)
-    for _ in range(30):
-        X = np.vstack([X, rng.standard_normal(2)])
-        y = np.append(y, 1.0 if rng.uniform() < 0.5 else -1.0)
-        mode, _ = _refit_one(mode, X, y)
-        # gradient of F at the stored mode
-        z = X @ mode
-        sig = 1.0 / (1.0 + np.exp(-z))
-        coeff = -y * np.where(y > 0, 1.0 - sig, sig)
-        grad = mode + X.T @ coeff
-        assert np.linalg.norm(grad) <= 1e-8
-
-
-def test_laplace_mode_matches_grid_argmin_1d():
-    rng = np.random.default_rng(12)
-    mode, X, y = np.zeros(1), np.zeros((0, 1)), np.zeros(0)
-    pts = []
-    for _ in range(10):
-        x = np.array([rng.uniform(0.5, 1.5)])
-        label = 1.0 if rng.uniform() < 0.7 else -1.0
-        pts.append(DataPoint(x, label))
-        X, y = np.vstack([X, x]), np.append(y, label)
-        mode, _ = _refit_one(mode, X, y)
-    ws = np.linspace(-4, 4, 80_001)
-    F = 0.5 * ws**2
-    for pt in pts:
-        F = F + logistic_loss(ws * pt.x[0], pt.y)
-    w_star = ws[np.argmin(F)]
-    assert mode[0] == pytest.approx(w_star, abs=1e-4)
-
-
-def test_line_search_without_decrease_raises(monkeypatch):
-    real = posterior._laplace_value_grad_hess
-    calls = []
-
-    def rising(*args):
-        values, grads, hess = real(*args)
-        calls.append(None)
-        return values + len(calls), grads, hess  # every trial step raises F
-
-    monkeypatch.setattr(posterior, "_laplace_value_grad_hess", rising)
-    with pytest.raises(NewtonConvergenceError):
-        _refit_one(np.zeros(2), np.array([[1.0, -0.5]]), np.array([1.0]))
-    assert len(calls) == 1 + posterior.MAX_HALVINGS
-
-
-def test_laplace_mix_factor_against_exact_grid():
-    # d=1: quadrature on the Laplace Gaussian vs dense grid integration
-    mode, hessian = _refit_one(np.zeros(1), np.ones((1, 1)), np.ones(1))
-    pt = DataPoint(np.array([0.7]), -1.0)
-    got = _logistic_factor(mode, hessian, pt)
-
-    mu = mode[0] * pt.x[0]
-    v = pt.x[0] ** 2 / hessian[0, 0]
-    grid = gaussian_grid(mu, v, lo=mu - 10 * np.sqrt(v), hi=mu + 10 * np.sqrt(v), n=20_001)
-    want = np.sum(grid.values * np.exp(-logistic_loss(grid.grid, pt.y))) * grid.dz
-    assert got == pytest.approx(want, rel=1e-9)
+def test_logistic_tilt_raises_on_a_variance_that_is_not_positive_and_finite(monkeypatch):
+    with pytest.raises(CovarianceError):
+        logistic_tilt(np.zeros(1), np.array([np.inf]), 1.0)
+    # a one-node rule puts all tilted mass on one point: zero variance where v > 0
+    monkeypatch.setattr(posterior, "gauss_hermite_rule", lambda: (np.zeros(1), np.full(1, np.sqrt(np.pi))))
+    with pytest.raises(CovarianceError):
+        logistic_tilt(np.zeros(1), np.ones(1), 1.0)
 
 
 def test_mix_factors_bounded_by_one():
+    # the logistic factor on a Gaussian advanced by the moment update, the squared
+    # factor on the exact quadratic posterior
     rng = np.random.default_rng(13)
-    mode, hessian, X, y = np.zeros(2), np.eye(2), np.zeros((0, 2)), np.zeros(0)
+    mean, cov = np.zeros((1, 2)), np.eye(2)[None]
     qp = QuadraticPosterior.from_anchor(np.zeros(2))
     for _ in range(15):
         x = rng.standard_normal(2)
         ylog = 1.0 if rng.uniform() < 0.5 else -1.0
         ysq = float(np.clip(rng.standard_normal(), -1, 1))
-        assert 0.0 < _logistic_factor(mode, hessian, DataPoint(x, ylog)) <= 1.0
+        cov_x, xm, v = pushforward_stack(mean, cov, x)
+        log_factor, alpha, beta = logistic_tilt(xm, v, ylog)
+        assert 0.0 < np.exp(log_factor[0]) <= 1.0 and log_factor[0] <= 0.0
         assert 0.0 < np.exp(log_quad_mix_factor(qp, DataPoint(x, ysq), 1.0)) <= 1.0
         assert log_quad_mix_factor(qp, DataPoint(x, ysq), 1.0) <= 0.0
-        X, y = np.vstack([X, x]), np.append(y, ylog)
-        mode, hessian = _refit_one(mode, X, y)
+        rank_one_update(mean, cov, cov_x, alpha, beta)
         qp = quad_update(qp, DataPoint(x, ysq), 1.0)
+    np.linalg.cholesky(cov)
 
 
 _LAZY_RULE_CHILD = """
