@@ -85,6 +85,8 @@ class DomainSpec:
     center: np.ndarray = None
 
     def __post_init__(self):
+        if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)):
+            raise TypeError(f"dimension d must be an int, got {self.d!r}")
         if self.d < 1:
             raise ValueError("dimension must be positive")
         if not 0 < self.R < np.inf:  # NaN fails too

@@ -27,6 +27,8 @@ space with no floor.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .core import DataPoint, DimensionError, DomainSpec, LossKind, LossSpec
@@ -63,6 +65,8 @@ class FixedShareMixture:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         if mu is None:
             mu = 1.0 / horizon
+        if isinstance(mu, bool) or not isinstance(mu, numbers.Real):
+            raise TypeError(f"mu must be a real number, got {mu!r}")
         if not 0.0 <= mu <= 1.0:
             raise ValueError(f"mu must lie in [0, 1], got {mu}")
         self.w0 = w0

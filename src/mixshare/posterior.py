@@ -150,13 +150,17 @@ def logistic_tilt(mu, v, y: float) -> tuple:
     """
     nodes, weights = gauss_hermite_rule()
     log_lik = _log_sigmoid_at_nodes(mu, v, y)
-    r = weights * np.exp(log_lik - log_lik.max(axis=1, keepdims=True))  # shifted: none overflows
+    r = weights * np.exp(log_lik - log_lik.max(axis=1, keepdims=True))  # shifted, so no row underflows to 0
     r /= r.sum(axis=1, keepdims=True)
     t_mean = r @ nodes
     t_var = np.sum(r * np.square(nodes[None, :] - t_mean[:, None]), axis=1)
     tilted_v = 2.0 * v * t_var
-    if not np.all(np.isfinite(tilted_v) & ((tilted_v > 0.0) | (v == 0.0))):
-        raise CovarianceError(f"moment-matched logistic variance is not positive and finite: {tilted_v}")
+    bad = ~(np.isfinite(tilted_v) & ((tilted_v > 0.0) | (v == 0.0)))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise CovarianceError(
+            f"moment-matched logistic variance {tilted_v[i]} from v = {v[i]} is not positive and finite"
+        )
     on_x = v > 0.0
     alpha = np.divide(np.sqrt(2.0 * v) * t_mean, v, out=np.zeros_like(v), where=on_x)
     beta = np.divide(2.0 * t_var - 1.0, v, out=np.zeros_like(v), where=on_x)  # (2v Var_r[t] - v) / v^2

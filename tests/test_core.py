@@ -87,6 +87,12 @@ def test_domain_rejects_bad_radius(R):
         DomainSpec(2, R)
 
 
+@pytest.mark.parametrize("d", [True, 2.5, 2.0, "2", None])
+def test_domain_rejects_a_dimension_that_is_not_an_int(d):
+    with pytest.raises(TypeError, match="dimension d"):
+        DomainSpec(d, 1.0)
+
+
 def test_domain_stack_is_row_wise():
     rng = np.random.default_rng(7)
     dom = DomainSpec(3, 1.0, center=np.array([0.5, 0.0, -0.5]))

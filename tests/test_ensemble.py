@@ -40,6 +40,10 @@ def test_init_rejects_bad_horizon_and_mu():
         with pytest.raises(TypeError, match="horizon"):
             oco.init_oco(DomainSpec(3, 1.0), horizon, eta=0.25, G=2.0)
     assert ensemble.init(spec, dom, np.int64(3)).horizon == 3
+    for mu in (True, "0.1", 1j):
+        with pytest.raises(TypeError, match="mu"):
+            ensemble.init(spec, dom, 10, mu=mu)
+    assert ensemble.init(spec, dom, 10, mu=0).mu == 0 and ensemble.init(spec, dom, 10, mu=np.float64(0.5)).mu == 0.5
 
 
 def test_mu_representable_for_huge_horizon():

@@ -1,4 +1,5 @@
-"""One sha256 over the deterministic output of a fixed set of configs.
+"""One sha256 per task family, and one over all, of the deterministic
+output of a fixed set of configs.
 
     python3 tools/output_digest.py [SRC]
 
@@ -11,8 +12,11 @@ the wall-clock `total_runtime_s` line:
   and d = 2, each under stationary, piecewise:4 and rotating:0.05 drift,
   at T = 80 and seed 3, with every algorithm that runs on the task.
 
-A change meant to keep the numbers prints the same digest for the
-parent's `src` and its own.  Run from the repository root.
+It prints one line per task (`squared1d`, `least_squares`, `logistic`,
+`oco_quadratic`), hashing that task's configs in order, and the total over
+all 27 last.  A change meant to keep the numbers prints the same total for
+the parent's `src` and its own; a change meant to move one family shows
+the other families' lines unchanged.  Run from the repository root.
 """
 
 from __future__ import annotations
@@ -59,14 +63,20 @@ def main(argv: list) -> int:
 
     if not pathlib.Path(bench.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"mixshare was imported from {bench.__file__}, not from {src}")
-    digest = hashlib.sha256()
+    digest, families = hashlib.sha256(), {}
     texts = config_texts()
     for text in texts:
-        result = bench.run_experiment(bench.parse_config(text))
+        cfg = bench.parse_config(text)
+        result = bench.run_experiment(cfg)
         summary = "".join(line for line in result.summary_text().splitlines(keepends=True)
                           if not line.startswith("total_runtime_s"))
-        digest.update(result.csv_text().encode())
-        digest.update(summary.encode())
+        family = families.setdefault(cfg.task, [hashlib.sha256(), 0])
+        family[1] += 1
+        for h in (digest, family[0]):
+            h.update(result.csv_text().encode())
+            h.update(summary.encode())
+    for task, (h, n) in families.items():
+        print(f"{h.hexdigest()}  {n} configs  {task}")
     print(f"{digest.hexdigest()}  {len(texts)} configs  {src}")
     return 0
 
