@@ -133,7 +133,7 @@ def quadratic_tilt(mu, v, a: float, b: float) -> tuple:
     factor is ``log_tilted_gauss_integral``; no system is solved.
     """
     one_plus = 1.0 + 2.0 * a * v
-    return log_tilted_gauss_integral(mu, v, a, b), -(2.0 * a * mu + b) / one_plus, -2.0 * a / one_plus
+    return log_tilted_gauss_integral(mu, v, a, b), (-2.0 * a * mu - b) / one_plus, -2.0 * a / one_plus
 
 
 def rank_one_update(means: np.ndarray, covs: np.ndarray, cov_x: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
