@@ -105,12 +105,10 @@ class FixedShareMixture:
         log_w = self._log_w[: self._k]
         log_w += log_factors
         self.round += 1
+        # normalize and scale survivors by (1 - mu) in one shift; log(1 - 0) = 0 exactly
+        log_w -= logsumexp(log_w) - self._log_keep
         if self.mu > 0.0:
-            # normalize and scale survivors by (1 - mu) in one shift
-            log_w -= logsumexp(log_w) - self._log_keep
             self._spawn(self._log_mu)
-        else:
-            log_w -= logsumexp(log_w)
 
     @property
     def n_learners(self) -> int:

@@ -6,9 +6,9 @@ squared 1-D and least-squares families alike, evaluates the mix loss at
 the two label endpoints, both in one normalizer call, and clips.  The
 logistic forecaster is the log-odds log P(+1) - log P(-1) of the two
 label probabilities, and the logistic mix loss is -log P(y); both take
-log P(y) from the one logistic quadrature,
-``posterior.log_logistic_mix_factors``, so no probability is
-formed outside log space and none is clamped.
+log P(y) from the components' mix factors, each the log-sum-exp of one
+Gauss-Hermite node table (``posterior.log_logistic_mix_factors``), so no
+probability is formed outside log space and none is clamped.
 """
 
 from __future__ import annotations
@@ -23,21 +23,17 @@ from .posterior import log_logistic_mix_factors
 
 @dataclass(frozen=True)
 class ScalarGaussianMixture:
-    """Weighted 1-D Gaussian mixture; weights kept in log-space."""
+    """Weighted 1-D Gaussian mixture of float arrays, log weights; ``from_weights`` converts raw inputs."""
 
     log_w: np.ndarray
     mu: np.ndarray
     v: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "log_w", np.atleast_1d(np.asarray(self.log_w, dtype=float)))
-        object.__setattr__(self, "mu", np.atleast_1d(np.asarray(self.mu, dtype=float)))
-        object.__setattr__(self, "v", np.atleast_1d(np.asarray(self.v, dtype=float)))
-
     @staticmethod
     def from_weights(weights, mu, v) -> "ScalarGaussianMixture":
+        weights, mu, v = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (weights, mu, v))
         with np.errstate(divide="ignore"):  # a zero weight is a log weight of -inf
-            log_w = np.log(np.asarray(weights, dtype=float))
+            log_w = np.log(weights)
         return ScalarGaussianMixture(log_w, mu, v)
 
     @property

@@ -8,15 +8,15 @@ special case a = 1/(2 B^2), b = 0 on the residual mean.  Also the one
 posterior update of a stack of Gaussians, in two parts: the 1-D
 pushforward along x, which a forecast can read first, and the in-place
 rank-one write that uses it, driven by (log factor, alpha, beta) from the
-quadratic tilt here or from ``posterior.logistic_tilt``; and a numpy
-log-sum-exp.
+quadratic tilt here or from ``posterior.logistic_tilt``; and the one numpy
+log-sum-exp, of the mixture weights and of the logistic node tables.
 The integral is returned in log-space, so that long products of
 per-round weight factors stay stable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class GaussianDist:
 
     mean: np.ndarray
     cov: np.ndarray
-    chol: np.ndarray = None  # lower-triangular factor, computed on construction
+    chol: np.ndarray = field(init=False)  # lower-triangular factor, computed on construction
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -151,8 +151,8 @@ def rank_one_update(means: np.ndarray, covs: np.ndarray, cov_x: np.ndarray, alph
     covs += beta[:, None, None] * (cov_x[:, :, None] * cov_x[:, None, :])
 
 
-def logsumexp(a, axis=None, b=None):
-    """ln sum(b * exp(a)) over ``axis`` (all entries when None).
+def logsumexp(a, axis=None):
+    """ln sum(exp(a)) over ``axis`` (all entries when None).
 
     Shifts by the finite maximum so no term overflows; a slice whose
     entries are all -inf gives -inf without a warning.
@@ -160,8 +160,5 @@ def logsumexp(a, axis=None, b=None):
     a = np.asarray(a, dtype=float)
     shift = a.max(axis=axis, keepdims=True)
     shift = np.where(np.isfinite(shift), shift, 0.0)
-    terms = np.exp(a - shift)
-    if b is not None:
-        terms = terms * b
     with np.errstate(divide="ignore"):
-        return np.log(terms.sum(axis=axis)) + shift.squeeze(axis=axis)
+        return np.log(np.exp(a - shift).sum(axis=axis)) + shift.squeeze(axis=axis)

@@ -8,14 +8,14 @@ logistic factor of a Gaussian has no Gaussian closed form, so
 returns the (log factor, alpha, beta) of the Gaussian with the tilted
 mean and variance of the score, which ``gaussian.rank_one_update`` writes
 along cov x exactly as it writes a quadratic tilt, so the logistic
-learners keep no history and refit nothing.  ``log_logistic_mix_factors``
-is the package's only Gauss-Hermite quadrature, on one fixed 64-node rule
-that is built on its first use (``gauss_hermite_rule``): it gives the
-per-round mix factors E_P[exp(-loss)] consumed by the meta-learner, which
-are also the log label probabilities of the logistic forecaster and mix
-loss, and the tilted moments are taken on the same nodes.  The logistic
-family's learning rate is fixed at 1 (``core.LossSpec``), so no function
-here takes a rate.
+learners keep no history and refit nothing.  The only Gauss-Hermite
+quadrature is one table, log(w_j / sqrt(pi)) - loss at the 64 nodes of a
+rule built on first use (``gauss_hermite_rule``); its log-sum-exp is the
+mix factor E_P[exp(-loss)] of the meta-learner and the log label
+probability of the forecaster (``log_logistic_mix_factors``), and
+``logistic_tilt`` takes the factor and the tilted moments from one table.
+The logistic family's learning rate is fixed at 1 (``core.LossSpec``), so
+no function here takes a rate.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataPoint, LabelRangeError
+from .core import DataPoint, LabelRangeError, logistic_loss
 from .gaussian import CovarianceError, log_tilted_gauss_integral, logsumexp
 
 
@@ -116,31 +116,33 @@ def gauss_hermite_rule() -> tuple:
     return nodes, weights
 
 
-def _log_sigmoid_at_nodes(mu, v, y: float) -> np.ndarray:
-    """log sigmoid(y z) at the nodes z = mu_i + sqrt(2 v_i) t_j of every N(mu_i, v_i); (k, 64)."""
-    nodes, _ = gauss_hermite_rule()
+def _log_node_table(mu, v, y: float) -> np.ndarray:
+    """log(w_j / sqrt(pi)) - logistic_loss(z_ij, y) at the nodes z_ij = mu_i + sqrt(2 v_i) t_j
+    of every N(mu_i, v_i); (k, 64).  Its log-sum-exp over j is the log mix factor."""
+    nodes, weights = gauss_hermite_rule()
     z = mu[:, None] + np.sqrt(2.0 * v)[:, None] * nodes[None, :]
-    return -np.logaddexp(0.0, -y * z)
+    return np.log(weights / np.sqrt(np.pi)) - logistic_loss(z, y)
 
 
 def log_logistic_mix_factors(mu, v, y: float) -> np.ndarray:
     """log E[exp(-logistic(z, y))] for z ~ N(mu_i, v_i), for every i.
 
-    64-node Gauss-Hermite quadrature (``gauss_hermite_rule``) in log-space;
-    capped at 0 since the loss is nonnegative.
+    The log-sum-exp over the nodes of the 64-node Gauss-Hermite table
+    (``gauss_hermite_rule``); every weight is positive and the loss
+    nonnegative, so the factor is at most 0 up to rounding, with no clamp.
     """
-    _, weights = gauss_hermite_rule()
-    return np.minimum(logsumexp(_log_sigmoid_at_nodes(mu, v, y), b=weights[None, :] / np.sqrt(np.pi), axis=1), 0.0)
+    return logsumexp(_log_node_table(mu, v, y), axis=1)
 
 
 def logistic_tilt(mu, v, y: float) -> tuple:
     """Moment-match the tilt sigmoid(y z) of every z ~ N(mu_i, v_i), as the
     (log factor, alpha, beta) that ``gaussian.rank_one_update`` writes.
 
-    The log factor is ``log_logistic_mix_factors``.  The tilted mean and
-    variance are taken on the same nodes z_j = mu + sqrt(2v) t_j: with
-    node weights r_j proportional to w_j sigmoid(y z_j), the tilted mean
-    is mu + sqrt(2v) E_r[t] and the tilted variance 2v Var_r[t].  Then
+    One node table gives both: the log factor is its log-sum-exp, as in
+    ``log_logistic_mix_factors``, and exp(table - log factor) are the
+    tilted node weights r_j, proportional to w_j sigmoid(y z_j) and summing
+    to 1.  With z_j = mu + sqrt(2v) t_j the tilted mean is
+    mu + sqrt(2v) E_r[t] and the tilted variance 2v Var_r[t].  Then
     alpha = (tilted mean - mu) / v and beta = (tilted variance - v) / v^2,
     so the updated Gaussian has exactly the tilted moments along x; both
     are 0 where v = 0, where the factor does not depend on w.  A tilted
@@ -148,10 +150,10 @@ def logistic_tilt(mu, v, y: float) -> tuple:
     ``gaussian.CovarianceError``: it would leave a covariance that is not
     positive definite.
     """
-    nodes, weights = gauss_hermite_rule()
-    log_lik = _log_sigmoid_at_nodes(mu, v, y)
-    r = weights * np.exp(log_lik - log_lik.max(axis=1, keepdims=True))  # shifted, so no row underflows to 0
-    r /= r.sum(axis=1, keepdims=True)
+    nodes, _ = gauss_hermite_rule()
+    table = _log_node_table(mu, v, y)
+    log_factor = logsumexp(table, axis=1)
+    r = np.exp(table - log_factor[:, None])  # the largest r_j is at least 1/64, so no row underflows to 0
     t_mean = r @ nodes
     t_var = np.sum(r * np.square(nodes[None, :] - t_mean[:, None]), axis=1)
     tilted_v = 2.0 * v * t_var
@@ -164,4 +166,4 @@ def logistic_tilt(mu, v, y: float) -> tuple:
     on_x = v > 0.0
     alpha = np.divide(np.sqrt(2.0 * v) * t_mean, v, out=np.zeros_like(v), where=on_x)
     beta = np.divide(2.0 * t_var - 1.0, v, out=np.zeros_like(v), where=on_x)  # (2v Var_r[t] - v) / v^2
-    return log_logistic_mix_factors(mu, v, y), alpha, beta
+    return log_factor, alpha, beta

@@ -101,7 +101,8 @@ def test_predict_squared_equals_its_two_endpoint_mix_losses(B):
     # the batched endpoints give exactly the clipped rule on mix_loss_squared
     rng = np.random.default_rng(23)
     mixes = [_random_scalar_mixture(rng, k) for k in (1, 1, 2, 5, 40)]
-    mixes.append(ScalarGaussianMixture([0.0, -np.inf, np.log(0.5)], [0.3, -1.0, 2.5], [0.2, 1.0, 0.0]))
+    mixes.append(ScalarGaussianMixture(np.array([0.0, -np.inf, np.log(0.5)]), np.array([0.3, -1.0, 2.5]),
+                                       np.array([0.2, 1.0, 0.0])))
     mixes.append(ScalarGaussianMixture.from_weights([1.0], [50.0 * B], [0.1]))  # clipped at +B
     mixes.append(ScalarGaussianMixture.from_weights([1.0], [-50.0 * B], [0.1]))  # clipped at -B
     for mix in mixes:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from mixshare import ensemble, posterior
+from mixshare import bench, ensemble, posterior
 from mixshare.core import DataPoint, DomainSpec, LabelRangeError, LossSpec, logistic_loss
 from mixshare.gaussian import CovarianceError, GaussianDist, pushforward_stack, rank_one_update
 from mixshare.posterior import (
@@ -112,6 +112,32 @@ def test_logistic_tilt_is_zero_off_x_and_finite_for_tiny_variance():
     assert np.all(1.0 + beta * np.array([0.0, 1e-300, 1e-12]) > 0.0)
     assert np.array_equal(log_factor, log_logistic_mix_factors(np.array([0.3, 0.3, -0.2]),
                                                                 np.array([0.0, 1e-300, 1e-12]), -1.0))
+
+
+def test_log_logistic_mix_factor_is_at_most_zero_and_finite_with_no_clamp():
+    # positive weights and a nonnegative loss: the log factor stays <= 0 unclamped, also where
+    # v vanishes or underflows and where the loss rounds to 0 or grows to 40 at |mu| = 40
+    variances = [0.0, 1e-300, 1e-12, 1e-3, 1.0, 100.0]
+    mu = np.repeat(np.linspace(-40.0, 40.0, 801), len(variances))
+    v = np.tile(variances, 801)
+    for y in (-1.0, 1.0):
+        log_factor = log_logistic_mix_factors(mu, v, y)
+        assert np.isfinite(log_factor).all() and (log_factor <= 0.0).all()
+
+
+def test_a_logistic_round_builds_three_node_tables(monkeypatch):
+    # the forecast builds one table per label and the update one for the realized label
+    build = posterior._log_node_table
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(posterior, "_log_node_table", counted)
+    T = 12
+    bench.run_experiment(bench.ExperimentConfig(task="logistic", d=2, T=T, algorithms=("fixed_share",)))
+    assert len(calls) == 3 * T
 
 
 def test_zero_features_leave_logistic_components_bit_identical():
