@@ -27,6 +27,7 @@ from .core import (
     LossSpec,
     RegretReport,
     dynamic_regret,
+    logistic_loss,
     path_length,
 )
 
@@ -254,8 +255,7 @@ def generate_stream(cfg: ExperimentConfig) -> StreamBundle:
             x = cfg.L * g / np.linalg.norm(g)
         score = float(u @ x)
         if cfg.task == "logistic":
-            with np.errstate(over="ignore"):  # exp -> inf gives p = 0, the exact limit
-                p = 1.0 / (1.0 + np.exp(-score))
+            p = np.exp(-logistic_loss(score, 1.0))  # sigmoid(score)
             y = 1.0 if rng.uniform() < p else -1.0
         else:
             y = float(np.clip(score + cfg.noise_sd * rng.standard_normal(), -cfg.B, cfg.B))
@@ -320,9 +320,7 @@ def _run_ogd(cfg: ExperimentConfig, bundle: StreamBundle, schedule, step_param: 
         elif spec.kind == LossKind.LOGISTIC:
             z = float(state.w @ pt.x)
             loss = spec.loss(z, pt.y)
-            with np.errstate(over="ignore"):  # exp -> inf gives sig = 0, the exact limit
-                sig = 1.0 / (1.0 + np.exp(pt.y * z))
-            g = -pt.y * sig * pt.x
+            g = -pt.y * np.exp(-logistic_loss(z, -pt.y)) * pt.x  # sigmoid(-y z) = exp(-logistic(z, -y))
         else:
             score = float(state.w @ pt.x)
             z = float(np.clip(score, -cfg.B, cfg.B))

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import bench, ensemble, forecasters, oco, posterior, verification
-from .core import DataPoint, DomainSpec, LossSpec
+from .core import DataPoint, DomainSpec, LossSpec, logistic_loss
 from .gaussian import GaussianDist, entropy, kl_divergence, LOG_2PI
 
 
@@ -83,7 +83,7 @@ def _suite_forecasters(seed: int):
         checks.append((f"squared_gap_{i}", gap <= 1e-9))
         z_log = forecasters.predict_logistic(mix)
         for y in (-1.0, 1.0):
-            loss = np.logaddexp(0.0, -y * z_log)
+            loss = logistic_loss(z_log, y)
             mloss = forecasters.mix_loss_logistic(mix, y).value
             checks.append((f"logistic_gap_{i}_{int(y)}", loss - mloss <= 1e-9))
     return checks

@@ -76,7 +76,7 @@ class LossSpec:
         return (z - y) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainSpec:
     """Euclidean ball { w : ||w - center|| <= R } in R^d."""
 
@@ -125,7 +125,7 @@ class DomainSpec:
             radius, shrink = np.where(over, radius - shrink, radius), 2.0 * shrink
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataPoint:
     """One observation; ``x`` is a read-only copy of the features passed in,
     so the finiteness checked here holds for the life of the point."""

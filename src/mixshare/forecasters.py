@@ -1,13 +1,15 @@
 """Mix predictions from Gaussian mixtures for each loss family.
 
 Every forecaster works on the 1-D mixture of the score w'x
-(``GaussianMixture.pushforward``).  The squared-loss forecaster, for the
-squared 1-D and least-squares families alike, evaluates the mix loss at
-the two label endpoints, both in one normalizer call, and clips.  The
-logistic forecaster is the log-odds log P(+1) - log P(-1) of the two
-label probabilities, and the logistic mix loss is -log P(y); both take
-log P(y) from the components' mix factors, each the log-sum-exp of one
-Gauss-Hermite node table (``posterior.log_logistic_mix_factors``), so no
+(``GaussianMixture.pushforward``).  Each loss family has one mix-loss
+function, which evaluates the mixture's normalizer at an array of labels
+in one call, and every public name reads it.  The squared family's
+(squared 1-D and least squares alike) takes each component's factor from
+``gaussian.quadratic_tilt``; its forecast is the clipped difference of
+the mix losses at the two label endpoints.  The logistic family's takes
+each component's factor from the log-sum-exp of one Gauss-Hermite node
+table per label (``posterior.log_logistic_mix_factors``); its mix loss is
+-log P(y) and its forecast the log-odds log P(+1) - log P(-1), so no
 probability is formed outside log space and none is clamped.
 """
 
@@ -17,13 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import log_tilted_gauss_integral, logsumexp, pushforward_stack
+from .gaussian import logsumexp, pushforward_stack, quadratic_tilt
 from .posterior import log_logistic_mix_factors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarGaussianMixture:
-    """Weighted 1-D Gaussian mixture of float arrays, log weights; ``from_weights`` converts raw inputs."""
+    """Weighted 1-D Gaussian mixture of float arrays, log weights; ``from_weights`` converts and checks raw inputs."""
 
     log_w: np.ndarray
     mu: np.ndarray
@@ -32,6 +34,11 @@ class ScalarGaussianMixture:
     @staticmethod
     def from_weights(weights, mu, v) -> "ScalarGaussianMixture":
         weights, mu, v = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (weights, mu, v))
+        if not weights.shape == mu.shape == v.shape:
+            raise ValueError(f"weights, means and variances have shapes {weights.shape}, {mu.shape} and {v.shape}")
+        if not (np.isfinite([weights, mu, v]).all() and (weights >= 0.0).all() and weights.any() and (v >= 0.0).all()):
+            raise ValueError(f"need finite weights >= 0 not all 0, finite means and finite variances >= 0; "
+                             f"got {weights}, {mu} and {v}")
         with np.errstate(divide="ignore"):  # a zero weight is a log weight of -inf
             log_w = np.log(weights)
         return ScalarGaussianMixture(log_w, mu, v)
@@ -41,7 +48,7 @@ class ScalarGaussianMixture:
         return np.exp(self.log_w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianMixture:
     """Weighted d-dimensional Gaussian mixture in array form."""
 
@@ -67,41 +74,45 @@ class MixLossValue:
     value: float
 
 
+def _mix_losses_squared(mix: ScalarGaussianMixture, ys, B: float) -> np.ndarray:
+    """-2 B^2 ln sum_i p_i E_i[exp(-(z - y)^2 / (2 B^2))] at every label y of ``ys``, in log-space."""
+    log_factors = quadratic_tilt(mix.mu - np.asarray(ys, dtype=float)[:, None], mix.v, 1.0 / (2.0 * B * B), 0.0)[0]
+    return -2.0 * B * B * logsumexp(mix.log_w + log_factors, axis=1)
+
+
 def mix_loss_squared(mix: ScalarGaussianMixture, y: float, B: float) -> MixLossValue:
     """-2 B^2 ln sum_i p_i E_i[exp(-(z - y)^2 / (2 B^2))], in log-space."""
-    log_terms = mix.log_w + log_tilted_gauss_integral(mix.mu - y, mix.v, 1.0 / (2.0 * B * B), 0.0)
-    return MixLossValue(value=-2.0 * B * B * float(logsumexp(log_terms)))
+    return MixLossValue(value=float(_mix_losses_squared(mix, [y], B)[0]))
 
 
 def predict_squared_1d(mix: ScalarGaussianMixture, B: float) -> float:
-    """Mix prediction clip((m(-B) - m(B)) / (4B)) for the squared loss.
+    """Mix prediction clip((m(-B) - m(B)) / (4B)) from the mix losses at the two label endpoints."""
+    m_neg, m_pos = _mix_losses_squared(mix, [-B, B], B).tolist()
+    return float(min(max((m_neg - m_pos) / (4.0 * B), -B), B))
 
-    The mix losses m(-B) and m(B) of ``mix_loss_squared`` are evaluated
-    together, as the two rows of one (2, k) normalizer call.
+
+def _mix_losses_logistic(mix: ScalarGaussianMixture, ys) -> np.ndarray:
+    """-log P(y) = -ln sum_i p_i E_i[exp(-logistic(z, y))] at every label y of ``ys``.
+
+    The quadrature is linear and sigmoid(z) + sigmoid(-z) = 1 at every node,
+    so P(+1) + P(-1) = 1 to rounding and the mixability gap of
+    ``predict_logistic`` vanishes identically for Gaussian components.
     """
-    endpoints = np.array([[-B], [B]])
-    log_terms = mix.log_w + log_tilted_gauss_integral(mix.mu - endpoints, mix.v, 1.0 / (2.0 * B * B), 0.0)
-    m_neg, m_pos = (-2.0 * B * B * logsumexp(log_terms, axis=1)).tolist()
-    z = (m_neg - m_pos) / (4.0 * B)
-    return float(min(max(z, -B), B))
+    ys = np.asarray(ys, dtype=float)[:, None, None]
+    return -logsumexp(mix.log_w + log_logistic_mix_factors(mix.mu, mix.v, ys), axis=1)
 
 
 def mix_loss_logistic(mix: ScalarGaussianMixture, y: float) -> MixLossValue:
-    """-ln sum_i p_i E_i[exp(-logistic(z, y))] = -log P(y) on the score mixture.
-
-    Each component's expectation is its logistic mix factor.
-    The quadrature is linear and sigmoid(z) + sigmoid(-z) = 1 at every
-    node, so P(+1) + P(-1) = 1 to rounding and the mixability gap of
-    ``predict_logistic`` vanishes identically for Gaussian components.
-    """
-    return MixLossValue(value=-float(logsumexp(mix.log_w + log_logistic_mix_factors(mix.mu, mix.v, y))))
+    """-ln sum_i p_i E_i[exp(-logistic(z, y))] = -log P(y) on the score mixture."""
+    return MixLossValue(value=float(_mix_losses_logistic(mix, [y])[0]))
 
 
 def mean_sigmoid(mix: ScalarGaussianMixture) -> float:
     """P(+1) = sum_i p_i E_{z ~ N(mu_i, v_i)}[sigmoid(z)]."""
-    return float(np.exp(-mix_loss_logistic(mix, 1.0).value))
+    return float(np.exp(-_mix_losses_logistic(mix, [1.0])[0]))
 
 
 def predict_logistic(mix: ScalarGaussianMixture) -> float:
     """The log-odds log P(+1) - log P(-1) of the mixture's label probabilities."""
-    return mix_loss_logistic(mix, -1.0).value - mix_loss_logistic(mix, 1.0).value
+    m_neg, m_pos = _mix_losses_logistic(mix, [-1.0, 1.0]).tolist()
+    return m_neg - m_pos

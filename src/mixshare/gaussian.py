@@ -1,17 +1,14 @@
 """Gaussian distribution arithmetic.
 
-Closed-form entropy and KL divergence of one Gaussian, and the one 1-D
-Gaussian integral behind every quadratic mix factor, the normalizer of
-the tilt exp(-a s^2 - b s), evaluated elementwise over stacked arrays of
-pushforward means and variances.  The squared-loss factor is its
-special case a = 1/(2 B^2), b = 0 on the residual mean.  Also the one
+Closed-form entropy and KL divergence of one Gaussian, and the one
 posterior update of a stack of Gaussians, in two parts: the 1-D
 pushforward along x, which a forecast can read first, and the in-place
-rank-one write that uses it, driven by (log factor, alpha, beta) from the
-quadratic tilt here or from ``posterior.logistic_tilt``; and the one numpy
-log-sum-exp, of the mixture weights and of the logistic node tables.
-The integral is returned in log-space, so that long products of
-per-round weight factors stay stable.
+rank-one write that uses it, driven by (log factor, alpha, beta) from
+``posterior.logistic_tilt`` or from ``quadratic_tilt``, the one quadratic
+closed form, whose log factor (the normalizer of exp(-a s^2 - b s), in
+log space so that long products stay stable) is every quadratic mix
+factor.  Also the one numpy log-sum-exp, of the mixture weights and of
+the logistic node tables.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ class CovarianceError(ValueError):
     """Covariance is not symmetric positive-definite."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianDist:
     """Mean vector plus SPD covariance, carried with its Cholesky factor.
 
@@ -94,22 +91,6 @@ def kl_divergence(q: GaussianDist, p: GaussianDist) -> float:
     return 0.5 * (p.log_det_cov - q.log_det_cov + trace + maha - q.d)
 
 
-def log_tilted_gauss_integral(mu, v, a: float, b: float):
-    """log E_{s ~ N(mu, v)}[exp(-a s^2 - b s)] for a >= 0, elementwise.
-
-    Completing the square gives
-    -(1/2) ln(1 + 2av) + ((1/2) b^2 v - (a mu + b) mu) / (1 + 2av),
-    which is finite at v = 0, where it is -a mu^2 - b mu, and has no
-    cancelling terms as av grows.  Reduces to the Gaussian MGF when a = 0.
-    """
-    if a < 0:
-        raise ValueError("quadratic tilt coefficient must be nonnegative")
-    mu = np.asarray(mu, dtype=float)
-    v = np.asarray(v, dtype=float)
-    one_plus = 1.0 + 2.0 * a * v
-    return -0.5 * np.log(one_plus) + (0.5 * b * b * v - (a * mu + b) * mu) / one_plus
-
-
 def pushforward_stack(means: np.ndarray, covs: np.ndarray, x: np.ndarray) -> tuple:
     """The 1-D pushforward of every N(means[i], covs[i]) along x.
 
@@ -124,16 +105,24 @@ def pushforward_stack(means: np.ndarray, covs: np.ndarray, x: np.ndarray) -> tup
 
 
 def quadratic_tilt(mu, v, a: float, b: float) -> tuple:
-    """The tilt exp(-a s^2 - b s) of every s ~ N(mu_i, v_i), as the
-    (log factor, alpha, beta) that ``rank_one_update`` writes.
+    """The tilt exp(-a s^2 - b s), a >= 0, of every s ~ N(mu_i, v_i), as the
+    (log factor, alpha, beta) that ``rank_one_update`` writes, elementwise.
 
     The tilt adds 2a to the precision along s, so the tilted variance is
     v / (1 + 2av) and the tilted mean mu - (2a mu + b) v / (1 + 2av):
     alpha = -(2a mu + b) / (1 + 2av) and beta = -2a / (1 + 2av).  The log
-    factor is ``log_tilted_gauss_integral``; no system is solved.
+    factor is log E[exp(-a s^2 - b s)]; completing the square gives
+    -(1/2) ln(1 + 2av) + ((1/2) b^2 v - (a mu + b) mu) / (1 + 2av),
+    which is finite at v = 0, where it is -a mu^2 - b mu, has no
+    cancelling terms as av grows, and is the Gaussian MGF when a = 0.
     """
+    if a < 0:
+        raise ValueError("quadratic tilt coefficient must be nonnegative")
+    mu = np.asarray(mu, dtype=float)
+    v = np.asarray(v, dtype=float)
     one_plus = 1.0 + 2.0 * a * v
-    return log_tilted_gauss_integral(mu, v, a, b), (-2.0 * a * mu - b) / one_plus, -2.0 * a / one_plus
+    log_factor = -0.5 * np.log(one_plus) + (0.5 * b * b * v - (a * mu + b) * mu) / one_plus
+    return log_factor, (-2.0 * a * mu - b) / one_plus, -2.0 * a / one_plus
 
 
 def rank_one_update(means: np.ndarray, covs: np.ndarray, cov_x: np.ndarray, alpha: np.ndarray, beta: np.ndarray):

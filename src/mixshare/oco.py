@@ -36,7 +36,7 @@ class ConstraintViolationError(ValueError):
     """Mixture component violates the constraint-set invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureInM:
     """Gaussian mixture with component means in the domain and covariance
     eigenvalues inside [1/T, 1]."""

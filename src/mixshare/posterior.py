@@ -11,9 +11,10 @@ along cov x exactly as it writes a quadratic tilt, so the logistic
 learners keep no history and refit nothing.  The only Gauss-Hermite
 quadrature is one table, log(w_j / sqrt(pi)) - loss at the 64 nodes of a
 rule built on first use (``gauss_hermite_rule``); its log-sum-exp is the
-mix factor E_P[exp(-loss)] of the meta-learner and the log label
-probability of the forecaster (``log_logistic_mix_factors``), and
-``logistic_tilt`` takes the factor and the tilted moments from one table.
+mix factor E_P[exp(-loss)] of the meta-learner and, for one label or an
+array of labels, the log label probability of the forecaster
+(``log_logistic_mix_factors``), and ``logistic_tilt`` takes the factor
+and the tilted moments from one table.
 The logistic family's learning rate is fixed at 1 (``core.LossSpec``), so
 no function here takes a rate.
 """
@@ -26,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataPoint, LabelRangeError, logistic_loss
-from .gaussian import CovarianceError, log_tilted_gauss_integral, logsumexp
+from .gaussian import CovarianceError, logsumexp, quadratic_tilt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticPosterior:
     """Gaussian posterior for squared losses in natural parameters.
 
@@ -80,7 +81,7 @@ def log_quad_mix_factor(p: QuadraticPosterior, point: DataPoint, B: float) -> fl
     x = point.x
     mean = p.mean
     v = float(x @ np.linalg.solve(p.precision, x))
-    return float(log_tilted_gauss_integral(float(mean @ x) - point.y, v, 1.0 / (2.0 * B * B), 0.0))
+    return float(quadratic_tilt(float(mean @ x) - point.y, v, 1.0 / (2.0 * B * B), 0.0)[0])
 
 
 def quad_variance_recursion_check(steps: int, sigma1_sq: float = 1.0) -> float:
@@ -116,22 +117,22 @@ def gauss_hermite_rule() -> tuple:
     return nodes, weights
 
 
-def _log_node_table(mu, v, y: float) -> np.ndarray:
+def _log_node_table(mu, v, y) -> np.ndarray:
     """log(w_j / sqrt(pi)) - logistic_loss(z_ij, y) at the nodes z_ij = mu_i + sqrt(2 v_i) t_j
-    of every N(mu_i, v_i); (k, 64).  Its log-sum-exp over j is the log mix factor."""
+    of every N(mu_i, v_i); (k, 64), or (n, k, 64) for labels of shape (n, 1, 1)."""
     nodes, weights = gauss_hermite_rule()
     z = mu[:, None] + np.sqrt(2.0 * v)[:, None] * nodes[None, :]
     return np.log(weights / np.sqrt(np.pi)) - logistic_loss(z, y)
 
 
-def log_logistic_mix_factors(mu, v, y: float) -> np.ndarray:
-    """log E[exp(-logistic(z, y))] for z ~ N(mu_i, v_i), for every i.
+def log_logistic_mix_factors(mu, v, y) -> np.ndarray:
+    """log E[exp(-logistic(z, y))] for z ~ N(mu_i, v_i), for every i (and every label y).
 
     The log-sum-exp over the nodes of the 64-node Gauss-Hermite table
     (``gauss_hermite_rule``); every weight is positive and the loss
     nonnegative, so the factor is at most 0 up to rounding, with no clamp.
     """
-    return logsumexp(_log_node_table(mu, v, y), axis=1)
+    return logsumexp(_log_node_table(mu, v, y), axis=-1)
 
 
 def logistic_tilt(mu, v, y: float) -> tuple:

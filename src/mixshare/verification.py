@@ -16,7 +16,7 @@ import numpy as np
 from .core import DataPoint, LossKind, LossSpec, logistic_loss
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridDensity:
     """Density values on a uniform grid over [lo, hi], normalized so that
     sum(values) * dz = 1."""

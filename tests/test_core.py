@@ -11,6 +11,11 @@ from mixshare.core import (
     logistic_loss,
     path_length,
 )
+from mixshare.forecasters import GaussianMixture, ScalarGaussianMixture
+from mixshare.gaussian import GaussianDist
+from mixshare.oco import MixtureInM
+from mixshare.posterior import QuadraticPosterior
+from mixshare.verification import GridDensity
 
 
 def test_squared_spec_default_eta():
@@ -146,3 +151,28 @@ def test_dynamic_regret_constant_gap():
 def test_dynamic_regret_length_mismatch():
     with pytest.raises(ValueError):
         dynamic_regret([1.0], [0.0, 0.0])
+
+
+def _two_gaussians():
+    return GaussianMixture(np.log([0.5, 0.5]), np.zeros((2, 2)), np.stack([np.eye(2), np.eye(2)]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GaussianDist(np.zeros(2), np.eye(2)),
+        lambda: ScalarGaussianMixture.from_weights([1.0, 1.0], [0.0, 1.0], [1.0, 1.0]),
+        _two_gaussians,
+        lambda: MixtureInM(_two_gaussians(), 10),
+        lambda: DomainSpec(2, 1.0),
+        lambda: DataPoint(np.ones(2), 1.0),
+        lambda: QuadraticPosterior.from_anchor(np.zeros(2)),
+        lambda: GridDensity(-1.0, 1.0, np.ones(5)),
+    ],
+)
+def test_array_dataclasses_compare_by_identity_without_raising(make):
+    # a field-wise == would compare numpy arrays and raise on their truth value
+    a, b = make(), make()
+    assert a == a
+    assert not a == b
+    assert a != b

@@ -96,18 +96,58 @@ def test_least_squares_shares_scalar_code_path():
     assert predict_squared_1d(mix.pushforward(x), B) == pytest.approx(predict_squared_1d(scalar, B), rel=1e-12)
 
 
-@pytest.mark.parametrize("B", [0.5, 1.0, 3.0])
-def test_predict_squared_equals_its_two_endpoint_mix_losses(B):
-    # the batched endpoints give exactly the clipped rule on mix_loss_squared
+def _endpoint_mixtures(B):
     rng = np.random.default_rng(23)
     mixes = [_random_scalar_mixture(rng, k) for k in (1, 1, 2, 5, 40)]
     mixes.append(ScalarGaussianMixture(np.array([0.0, -np.inf, np.log(0.5)]), np.array([0.3, -1.0, 2.5]),
                                        np.array([0.2, 1.0, 0.0])))
     mixes.append(ScalarGaussianMixture.from_weights([1.0], [50.0 * B], [0.1]))  # clipped at +B
     mixes.append(ScalarGaussianMixture.from_weights([1.0], [-50.0 * B], [0.1]))  # clipped at -B
-    for mix in mixes:
+    return mixes
+
+
+@pytest.mark.parametrize("B", [0.5, 1.0, 3.0])
+def test_predict_squared_equals_its_two_endpoint_mix_losses(B):
+    # the batched endpoints give exactly the clipped rule on mix_loss_squared
+    for mix in _endpoint_mixtures(B):
         z = (mix_loss_squared(mix, -B, B).value - mix_loss_squared(mix, B, B).value) / (4.0 * B)
         assert predict_squared_1d(mix, B) == float(np.clip(z, -B, B))
+
+
+@pytest.mark.parametrize("B", [0.5, 1.0, 3.0])
+def test_predict_logistic_equals_its_two_label_mix_losses(B):
+    # both labels' tables in one call give exactly the log-odds of mix_loss_logistic
+    for mix in _endpoint_mixtures(B):
+        assert predict_logistic(mix) == mix_loss_logistic(mix, -1.0).value - mix_loss_logistic(mix, 1.0).value
+
+
+@pytest.mark.parametrize(
+    "weights, mu, v",
+    [
+        ([1.0, -0.5], [0.0, 1.0], [1.0, 1.0]),  # negative weight
+        ([1.0, np.nan], [0.0, 1.0], [1.0, 1.0]),
+        ([1.0, np.inf], [0.0, 1.0], [1.0, 1.0]),
+        ([0.0, 0.0], [0.0, 1.0], [1.0, 1.0]),  # no mass at all
+        ([1.0], [np.inf], [1.0]),
+        ([1.0], [np.nan], [1.0]),
+        ([1.0], [0.0], [-1.0]),  # 1 + v / B^2 = 0 at B = 1
+        ([1.0], [0.0], [-0.1]),
+        ([1.0], [0.0], [np.inf]),
+        ([1.0], [0.0], [np.nan]),
+        ([1.0, 1.0], [0.0], [1.0]),  # shapes differ
+        ([1.0], [0.0, 1.0], [1.0, 1.0]),
+    ],
+)
+def test_from_weights_rejects_bad_input(weights, mu, v):
+    with pytest.raises(ValueError):
+        ScalarGaussianMixture.from_weights(weights, mu, v)
+
+
+def test_from_weights_accepts_zero_weights_and_zero_variance():
+    # all the mass is a point at -0.2, where both forecasts read the point itself
+    mix = ScalarGaussianMixture.from_weights([0.0, 1.0], [0.3, -0.2], [0.0, 0.0])
+    assert predict_squared_1d(mix, 1.0) == pytest.approx(-0.2, rel=1e-12)
+    assert predict_logistic(mix) == pytest.approx(-0.2, rel=1e-12)
 
 
 def test_zero_weight_component_is_inert():

@@ -10,8 +10,8 @@ from mixshare.gaussian import (
     GaussianDist,
     entropy,
     kl_divergence,
-    log_tilted_gauss_integral,
     logsumexp,
+    quadratic_tilt,
 )
 
 
@@ -121,14 +121,14 @@ def test_pushforward_values():
 def test_tilted_integral_point_mass_limit():
     # v = 0 reduces to exp(-a mu^2 - b mu); the squared-loss factor,
     # a = 1/(2 B^2) and b = 0 on mu - y, to exp(-(mu - y)^2 / (2 B^2))
-    assert np.exp(log_tilted_gauss_integral(0.4, 0.0, 0.3, -0.7)) == pytest.approx(np.exp(-0.3 * 0.16 + 0.7 * 0.4))
-    assert np.exp(log_tilted_gauss_integral(0.3 - 1.0, 0.0, 0.5, 0.0)) == pytest.approx(np.exp(-0.49 / 2.0))
+    assert np.exp(quadratic_tilt(0.4, 0.0, 0.3, -0.7)[0]) == pytest.approx(np.exp(-0.3 * 0.16 + 0.7 * 0.4))
+    assert np.exp(quadratic_tilt(0.3 - 1.0, 0.0, 0.5, 0.0)[0]) == pytest.approx(np.exp(-0.49 / 2.0))
 
 
 def test_tilted_integral_is_mgf_at_zero_quadratic():
     # a = 0 reduces to the Gaussian MGF E[exp(-b s)] = exp(-b mu + b^2 v / 2)
     b = 0.9
-    assert np.exp(log_tilted_gauss_integral(0.4, 1.7, 0.0, b)) == pytest.approx(np.exp(-b * 0.4 + b * b * 1.7 / 2.0))
+    assert np.exp(quadratic_tilt(0.4, 1.7, 0.0, b)[0]) == pytest.approx(np.exp(-b * 0.4 + b * b * 1.7 / 2.0))
 
 
 def test_tilted_integral_vs_quadrature():
@@ -136,7 +136,7 @@ def test_tilted_integral_vs_quadrature():
     for _ in range(20):
         mu, v = rng.uniform(-1.5, 1.5), rng.uniform(0.0, 2.0)
         a, b = rng.uniform(0, 0.5), rng.uniform(-1, 1)
-        closed = np.exp(log_tilted_gauss_integral(mu, v, a, b))
+        closed = np.exp(quadratic_tilt(mu, v, a, b)[0])
         quad = _gh_expect(mu, v, lambda s: np.exp(-a * s * s - b * s), hermgauss(128))
         assert closed == pytest.approx(quad, rel=1e-7)
 
@@ -147,7 +147,7 @@ def test_sq_exp_integral_vs_quadrature():
     for _ in range(20):
         mu, v = rng.uniform(-2, 2), rng.uniform(0.01, 3)
         y, B = rng.uniform(-1, 1), rng.uniform(0.5, 2)
-        closed = np.exp(log_tilted_gauss_integral(mu - y, v, 1.0 / (2.0 * B * B), 0.0))
+        closed = np.exp(quadratic_tilt(mu - y, v, 1.0 / (2.0 * B * B), 0.0)[0])
         quad = _gh_expect(mu, v, lambda z: np.exp(-((z - y) ** 2) / (2 * B * B)), hermgauss(128))
         assert closed == pytest.approx(quad, rel=1e-8)
 
@@ -157,13 +157,13 @@ def test_tilted_integral_in_unit_interval():
     rng = np.random.default_rng(5)
     mu = rng.uniform(-5, 5, 100)
     v = rng.uniform(0, 5, 100)
-    vals = np.exp(log_tilted_gauss_integral(mu - 0.7, v, 1.0 / (2.0 * 1.3 * 1.3), 0.0))
+    vals = np.exp(quadratic_tilt(mu - 0.7, v, 1.0 / (2.0 * 1.3 * 1.3), 0.0)[0])
     assert np.all(vals > 0) and np.all(vals <= 1.0)
 
 
 def test_tilted_integral_rejects_negative_a():
     with pytest.raises(ValueError):
-        log_tilted_gauss_integral(0.0, 1.0, -0.1, 0.0)
+        quadratic_tilt(0.0, 1.0, -0.1, 0.0)
 
 
 def test_gauss_hermite_exact_for_polynomials():

@@ -126,18 +126,21 @@ def test_log_logistic_mix_factor_is_at_most_zero_and_finite_with_no_clamp():
 
 
 def test_a_logistic_round_builds_three_node_tables(monkeypatch):
-    # the forecast builds one table per label and the update one for the realized label
+    # the forecast builds one (k, 64) table per label, both in one call, and
+    # the update one for the realized label; a call returning (n, k, 64) builds n
     build = posterior._log_node_table
-    calls = []
+    tables = []
 
     def counted(*args):
-        calls.append(args)
-        return build(*args)
+        table = build(*args)
+        tables.append(int(np.prod(table.shape[:-2])))
+        return table
 
     monkeypatch.setattr(posterior, "_log_node_table", counted)
     T = 12
     bench.run_experiment(bench.ExperimentConfig(task="logistic", d=2, T=T, algorithms=("fixed_share",)))
-    assert len(calls) == 3 * T
+    assert sum(tables) == 3 * T
+    assert len(tables) == 2 * T
 
 
 def test_zero_features_leave_logistic_components_bit_identical():
