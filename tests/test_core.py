@@ -169,6 +169,8 @@ def _two_gaussians():
         lambda: QuadraticPosterior.from_anchor(np.zeros(2)),
         lambda: GridDensity(-1.0, 1.0, np.ones(5)),
     ],
+    ids=["GaussianDist", "ScalarGaussianMixture", "GaussianMixture", "MixtureInM", "DomainSpec", "DataPoint",
+         "QuadraticPosterior", "GridDensity"],
 )
 def test_array_dataclasses_compare_by_identity_without_raising(make):
     # a field-wise == would compare numpy arrays and raise on their truth value

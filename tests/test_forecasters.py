@@ -124,19 +124,22 @@ def test_predict_logistic_equals_its_two_label_mix_losses(B):
 @pytest.mark.parametrize(
     "weights, mu, v",
     [
-        ([1.0, -0.5], [0.0, 1.0], [1.0, 1.0]),  # negative weight
+        ([1.0, -0.5], [0.0, 1.0], [1.0, 1.0]),
         ([1.0, np.nan], [0.0, 1.0], [1.0, 1.0]),
         ([1.0, np.inf], [0.0, 1.0], [1.0, 1.0]),
-        ([0.0, 0.0], [0.0, 1.0], [1.0, 1.0]),  # no mass at all
+        ([0.0, 0.0], [0.0, 1.0], [1.0, 1.0]),
         ([1.0], [np.inf], [1.0]),
         ([1.0], [np.nan], [1.0]),
         ([1.0], [0.0], [-1.0]),  # 1 + v / B^2 = 0 at B = 1
         ([1.0], [0.0], [-0.1]),
         ([1.0], [0.0], [np.inf]),
         ([1.0], [0.0], [np.nan]),
-        ([1.0, 1.0], [0.0], [1.0]),  # shapes differ
+        ([1.0, 1.0], [0.0], [1.0]),
         ([1.0], [0.0, 1.0], [1.0, 1.0]),
     ],
+    ids=["negative_weight", "nan_weight", "inf_weight", "all_zero_weights", "inf_mean", "nan_mean",
+         "zero_normalizer_variance", "negative_variance", "inf_variance", "nan_variance", "weights_longer",
+         "weights_shorter"],
 )
 def test_from_weights_rejects_bad_input(weights, mu, v):
     with pytest.raises(ValueError):
