@@ -4,11 +4,19 @@ Each round predicts the mixture mean, tilts every Gaussian component in
 closed form by the exponential weight of the quadratic surrogate built
 from the observed gradient, repairs each component in place back into
 the constraint family (means inside the domain, covariance eigenvalues
-in [1/T, 1]), and mixes in the anchor.  The repair screens the live
-components with one values-only ``eigvalsh`` and runs ``eigh`` only on
-those whose spectrum leaves the band; the closing membership check tests
-the band with two batched Cholesky factorizations instead of a second
-eigendecomposition.
+in [1/T, 1]), and mixes in the anchor.
+
+The repair projects every mean but eigendecomposes only the components
+whose spectrum can have left the band.  The surrogate tilt only adds
+precision, P' = P + (gamma^2 / 2) g g', so Sigma <= I holds with no
+repair and lambda_max(P) grows by at most (gamma^2 / 2)|g|^2 a round.
+``OcoState`` keeps that growth as one bound u >= lambda_max(P) per slot
+(1 for a newborn), and the repair screens, with one values-only
+``eigvalsh``, only the slots whose bound can reach T; ``eigh`` runs only
+on those whose spectrum leaves [1/T, 1], and each screened bound is reset
+from its smallest eigenvalue.  The closing membership check still tests
+every component's band, with two batched Cholesky factorizations.
+
 The state is an ``ensemble.FixedShareMixture``, the same buffered mixture
 the ensemble uses: ``oco_round`` tilts and repairs its live components in
 place and closes the round with the shared fixed-share step, so no
@@ -81,6 +89,12 @@ class OcoState(FixedShareMixture):
         self.domain = domain
         self.gamma = gamma
         self.G = G
+        # u_i >= lambda_max(inv(Sigma_i)) per slot; a slot is written once, so a
+        # newborn's still reads 1 (a slot compaction must move u with its slot)
+        self._prec_bound = np.ones(horizon + 1)
+        # component-rounds the repair eigendecomposed, and those it clamped
+        self.repair_decomposed = 0
+        self.repair_clamped = 0
 
     @property
     def mixture(self) -> MixtureInM:
@@ -118,23 +132,40 @@ def ew_update_surrogate(mix: GaussianMixture, g: np.ndarray, w_ref: np.ndarray, 
     return log_factors
 
 
-def approx_project_to_M(mix: GaussianMixture, domain: DomainSpec, T: int) -> None:
+def approx_project_to_M(mix: GaussianMixture, domain: DomainSpec, T: int, state: OcoState | None = None) -> None:
     """Per-component repair in place: project ``mix.means`` onto the ball and
     clamp the eigenvalues of ``mix.covs`` to [1/T, 1] in the eigenbasis;
     weights unchanged.
 
-    One values-only ``eigvalsh`` of the stack finds the components whose
-    spectrum leaves [1/T, 1]; only those are eigendecomposed and rebuilt.
-    The clamp is the identity on the others, so they are left untouched.
+    One values-only ``eigvalsh`` screens the components; only those whose
+    spectrum leaves [1/T, 1] are eigendecomposed and rebuilt.  The clamp is
+    the identity on the others, so they are left untouched.  Without
+    ``state`` every component is screened.  With the ``OcoState`` whose
+    live mixture ``mix`` is, only the slots whose precision bound exceeds
+    T (1 - 1e-9) are: every other covariance has all its eigenvalues above
+    1/T and, the tilt only adding precision, none above 1 beyond round-off.
+    Each screened slot's bound is reset to 1 / clip(lambda_min, 1/T, 1), and
+    the state's ``repair_decomposed`` and ``repair_clamped`` counts advance.
     """
     mix.means[:] = domain.project(mix.means)
-    eigs = np.linalg.eigvalsh(mix.covs)  # ascending
-    out = np.flatnonzero((eigs[:, 0] < 1.0 / T) | (eigs[:, -1] > 1.0))
+    if state is None:
+        screen = np.arange(len(mix.covs))
+    else:
+        bound = state._prec_bound[: len(mix.covs)]
+        screen = np.flatnonzero(bound > T * (1.0 - 1e-9))
+        if not screen.size:
+            return
+    eigs = np.linalg.eigvalsh(mix.covs[screen])  # ascending
+    out = screen[(eigs[:, 0] < 1.0 / T) | (eigs[:, -1] > 1.0)]
     if out.size:
         eigvals, eigvecs = np.linalg.eigh(mix.covs[out])
         eigvals = np.clip(eigvals, 1.0 / T, 1.0)
         covs = (eigvecs * eigvals[:, None, :]) @ np.swapaxes(eigvecs, 1, 2)
         mix.covs[out] = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+    if state is not None:
+        bound[screen] = 1.0 / np.clip(eigs[:, 0], 1.0 / T, 1.0)
+        state.repair_decomposed += screen.size
+        state.repair_clamped += out.size
 
 
 def oco_round(s: OcoState, grad_oracle) -> tuple:
@@ -153,7 +184,8 @@ def oco_round(s: OcoState, grad_oracle) -> tuple:
         raise ValueError(f"gradient norm {np.linalg.norm(g)} exceeds declared bound G = {s.G}")
     live = s.view()
     log_factors = ew_update_surrogate(live, g, w_t, s.gamma)
-    approx_project_to_M(live, s.domain, s.horizon)
+    s._prec_bound[: s.n_learners] += 0.5 * s.gamma * s.gamma * float(g @ g)
+    approx_project_to_M(live, s.domain, s.horizon, s)
     s.fixed_share(log_factors)
     s.mixture.validate(s.domain)
     return w_t, s

@@ -259,45 +259,125 @@ def test_validate_band_matches_eigvalsh(d, T, values, seed):
     assert _validate_verdict(covs, T, tol) == _eigvalsh_band_verdict(covs, T, tol)
 
 
-def test_oco_run_screens_with_one_eigvalsh_and_eigh_only_out_of_band(monkeypatch):
-    # an oco_d3-shaped run: each repair screens the stack with one eigvalsh
-    # (the band check never falls back to it), and eigh sees exactly the
-    # components that the screen puts outside [1/T, 1]
-    cfg = bench.ExperimentConfig(
-        task="oco_quadratic", d=3, T=40, R=1.0, noise_sd=0.3, drift="rotating:0.01", algorithms=("oco",)
+def _oco_d3_config(T=600, R=1.0, seed=0):
+    """The perfbench ``oco_d3`` workload's config at horizon T, radius R and seed."""
+    return bench.ExperimentConfig(
+        task="oco_quadratic", d=3, T=T, R=R, noise_sd=0.3, drift="rotating:0.01", algorithms=("oco",), seed=seed
     )
+
+
+def _certified(state, T):
+    """The live slots whose precision bound can reach T: the only ones the repair may screen."""
+    return np.flatnonzero(state._prec_bound[: state.n_learners] > T * (1.0 - 1e-9))
+
+
+@pytest.mark.parametrize("R", [1.0, 0.01], ids=["repair_idle", "repair_active"])
+def test_oco_run_eigendecomposes_only_slots_whose_bound_can_reach_T(R, monkeypatch):
+    # an oco_d3-shaped run: every round still calls the repair, whose
+    # eigvalsh sees exactly the slots whose bound exceeds T and whose eigh
+    # sees exactly the screened components outside [1/T, 1]; after every
+    # repair no live component is left outside the band beyond round-off
+    cfg = _oco_d3_config(T=40, R=R)
     want = bench.run_experiment(cfg).reports["oco"].learner_loss
     eigh, eigvalsh, repair = np.linalg.eigh, np.linalg.eigvalsh, oco.approx_project_to_M
-    calls = {"eigvalsh": 0, "repair": 0}
-    screened, decomposed = [], []  # out-of-band counts per screen; eigh input sizes
+    screened, decomposed = [], []  # per repair: the slots to screen; eigh input sizes
+    calls = {"repair": 0}
 
     def out_of_band(eigs):
         return (eigs[:, 0] < 1.0 / cfg.T) | (eigs[:, -1] > 1.0)
 
-    def counting_eigvalsh(a, *args, **kwargs):
-        calls["eigvalsh"] += 1
+    def checking_eigvalsh(a, *args, **kwargs):
+        assert np.array_equal(a, screened[-1][1]), "eigvalsh on a slot the bound certifies"
         eigs = eigvalsh(a, *args, **kwargs)
-        screened.append(int(np.count_nonzero(out_of_band(eigs))))
+        screened[-1][2] = int(np.count_nonzero(out_of_band(eigs)))
         return eigs
 
     def checking_eigh(a, *args, **kwargs):
         assert out_of_band(eigvalsh(a)).all(), "eigh on an in-band component"
-        assert len(a) == screened[-1], "eigh input is not the last screen's out-of-band set"
+        assert len(a) == screened[-1][2], "eigh input is not the screen's out-of-band set"
         decomposed.append(len(a))
         return eigh(a, *args, **kwargs)
 
-    def counting_repair(*args, **kwargs):
+    def checking_repair(mix, domain, T, state):
         calls["repair"] += 1
-        return repair(*args, **kwargs)
+        slots = _certified(state, T)
+        screened.append([slots, mix.covs[slots].copy(), 0])
+        repair(mix, domain, T, state)
+        eigs = eigvalsh(mix.covs)
+        assert np.min(eigs) >= (1.0 / T) * (1.0 - 1e-12), "a component left below 1/T"
+        assert np.max(eigs) <= 1.0 + 1e-12, "a component left above 1"
 
     monkeypatch.setattr(np.linalg, "eigh", checking_eigh)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    monkeypatch.setattr(oco, "approx_project_to_M", counting_repair)
+    monkeypatch.setattr(np.linalg, "eigvalsh", checking_eigvalsh)
+    monkeypatch.setattr(oco, "approx_project_to_M", checking_repair)
     got = bench.run_experiment(cfg).reports["oco"].learner_loss
-    assert calls == {"eigvalsh": cfg.T, "repair": cfg.T}
-    assert sum(decomposed) == sum(screened)  # no out-of-band component skipped
-    assert 0 < len(decomposed) < cfg.T  # rounds with and without a clamp
+    assert calls["repair"] == cfg.T
+    n_screened = sum(len(slots) for slots, _, _ in screened)
+    assert sum(decomposed) == sum(n for _, _, n in screened)  # no out-of-band screened slot skipped
+    if R == 1.0:
+        assert n_screened == 0 and not decomposed  # the bound never nears T = 40
+    else:
+        assert 0 < len(decomposed) < cfg.T  # rounds with and without a clamp
+        assert n_screened > sum(decomposed)  # screened slots found in band too
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("R", [1.0, 0.01], ids=["repair_idle", "repair_active"])
+def test_precision_bound_holds_after_every_round(R, seed):
+    # the certificate: u_i >= lambda_max(inv(Sigma_i)) for every live slot
+    # after every round, clamped or not
+    rng = np.random.default_rng(seed)
+    T, d = 60, 3
+    dom = DomainSpec(d, R)
+    s = oco.init_oco(dom, T, eta=1.0 / dom.diameter**2, G=2.0 * dom.R)
+    for _ in range(T):
+        c = dom.project(rng.standard_normal(d))
+        oco.oco_round(s, lambda w: w - c)
+        prec_max = np.linalg.eigvalsh(np.linalg.inv(s.covs()))[:, -1]
+        assert np.all(prec_max <= s._prec_bound[: s.n_learners] * (1.0 + 1e-9))
+    assert (s.repair_clamped > 0) == (R == 0.01)
+
+
+def _screen_every_slot(monkeypatch):
+    """Make ``oco_round``'s repair screen every component, as its 3-argument call does."""
+    repair = oco.approx_project_to_M
+    monkeypatch.setattr(oco, "approx_project_to_M", lambda mix, domain, T, state=None: repair(mix, domain, T))
+
+
+@pytest.mark.parametrize("R", [1.0, 0.3, 0.01])
+def test_certified_repair_agrees_with_screening_every_slot(R, monkeypatch):
+    # skipping the certified slots only skips clamps of round-off (an
+    # eigenvalue of 1 + 1e-16 rounded down to 1), so the losses agree to
+    # far below 1e-12 relative
+    for seed in range(3):
+        cfg = _oco_d3_config(R=R, seed=seed)
+        certified = bench.run_experiment(cfg).reports["oco"].learner_loss
+        with monkeypatch.context() as m:
+            _screen_every_slot(m)
+            every = bench.run_experiment(cfg).reports["oco"].learner_loss
+        assert np.allclose(certified, every, rtol=1e-12, atol=0.0)
+
+
+def _run_state(cfg, monkeypatch):
+    """Run ``cfg`` through ``bench`` and return the ``OcoState`` it advanced."""
+    init, states = oco.init_oco, []
+    with monkeypatch.context() as m:
+        m.setattr(oco, "init_oco", lambda *args, **kwargs: states.append(init(*args, **kwargs)) or states[-1])
+        bench.run_experiment(cfg)
+    return states[0]
+
+
+def test_repair_counts_eigendecompositions_and_clamps(monkeypatch):
+    # on oco_d3 seed 0 the bound reaches only about 1.09 against T = 600, so
+    # the repair decomposes nothing; at R = 0.01 it decomposes and clamps
+    idle = _run_state(_oco_d3_config(), monkeypatch)
+    assert idle.n_learners == 601
+    assert (idle.repair_decomposed, idle.repair_clamped) == (0, 0)
+    assert 1.0 < np.max(idle._prec_bound) < 1.1
+    active = _run_state(_oco_d3_config(R=0.01), monkeypatch)
+    assert active.repair_decomposed >= active.repair_clamped > 0
+    assert type(active.repair_decomposed) is int and type(active.repair_clamped) is int
 
 
 def test_oco_round_preserves_membership():
@@ -338,6 +418,7 @@ def test_oco_round_matches_copy_and_concatenate_recursion(R, monkeypatch):
         s, preds = _oco_run(T, T, seed=47, R=R)
     if R == 0.01:
         assert eigh_calls, "the clamp path never ran"
+        assert s.repair_clamped > 0
     rng = np.random.default_rng(47)
     dom = DomainSpec(d, R)
     gamma, mu = s.gamma, 1.0 / T
