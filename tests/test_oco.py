@@ -266,11 +266,6 @@ def _oco_d3_config(T=600, R=1.0, seed=0):
     )
 
 
-def _certified(state, T):
-    """The live slots whose precision bound can reach T: the only ones the repair may screen."""
-    return np.flatnonzero(state._prec_bound[: state.n_learners] > T * (1.0 - 1e-9))
-
-
 @pytest.mark.parametrize("R", [1.0, 0.01], ids=["repair_idle", "repair_active"])
 def test_oco_run_eigendecomposes_only_slots_whose_bound_can_reach_T(R, monkeypatch):
     # an oco_d3-shaped run: every round still calls the repair, whose
@@ -300,7 +295,7 @@ def test_oco_run_eigendecomposes_only_slots_whose_bound_can_reach_T(R, monkeypat
 
     def checking_repair(mix, domain, T, state):
         calls["repair"] += 1
-        slots = _certified(state, T)
+        slots = np.flatnonzero(state._prec_bound[: state.n_learners] > T * (1.0 - 1e-9))
         screened.append([slots, mix.covs[slots].copy(), 0])
         repair(mix, domain, T, state)
         eigs = eigvalsh(mix.covs)
@@ -339,22 +334,17 @@ def test_precision_bound_holds_after_every_round(R, seed):
     assert (s.repair_clamped > 0) == (R == 0.01)
 
 
-def _screen_every_slot(monkeypatch):
-    """Make ``oco_round``'s repair screen every component, as its 3-argument call does."""
-    repair = oco.approx_project_to_M
-    monkeypatch.setattr(oco, "approx_project_to_M", lambda mix, domain, T, state=None: repair(mix, domain, T))
-
-
 @pytest.mark.parametrize("R", [1.0, 0.3, 0.01])
 def test_certified_repair_agrees_with_screening_every_slot(R, monkeypatch):
     # skipping the certified slots only skips clamps of round-off (an
     # eigenvalue of 1 + 1e-16 rounded down to 1), so the losses agree to
-    # far below 1e-12 relative
+    # far below 1e-12 relative; the 3-argument call screens every slot
+    repair = oco.approx_project_to_M
     for seed in range(3):
         cfg = _oco_d3_config(R=R, seed=seed)
         certified = bench.run_experiment(cfg).reports["oco"].learner_loss
         with monkeypatch.context() as m:
-            _screen_every_slot(m)
+            m.setattr(oco, "approx_project_to_M", lambda mix, domain, T, state: repair(mix, domain, T))
             every = bench.run_experiment(cfg).reports["oco"].learner_loss
         assert np.allclose(certified, every, rtol=1e-12, atol=0.0)
 
