@@ -5,9 +5,10 @@ The comparator for regret is always the generating ground-truth sequence,
 a (T, d) array; it is the only comparator whose path length is known at
 generation time.  Every task's stream is T ``DataPoint``s; an
 ``oco_quadratic`` point carries its round's target c as ``x``, with y = 0.
-Every learner runs in one timed round loop, ``_timed_rounds``.  CSV
-output is byte-deterministic given (config, seed); per-round wall clock
-is nondeterministic by nature and therefore goes to a separate
+Every learner runs in one timed round loop, ``_timed_rounds``; an
+ensemble round is one ``ensemble.play_round`` call.  CSV output is
+byte-deterministic given (config, seed); per-round wall clock is
+nondeterministic by nature and therefore goes to a separate
 ``*.timing.csv`` sidecar, with the CSV column pinned to 0.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import baselines, ensemble, forecasters, oco
+from . import baselines, ensemble, oco
 from .core import (
     DataPoint,
     DomainSpec,
@@ -295,18 +296,7 @@ def _timed_rounds(points: list, step) -> tuple:
 def _run_ensemble(cfg: ExperimentConfig, bundle: StreamBundle, mu: float | None):
     spec = cfg.loss_spec()
     state = ensemble.init(spec, cfg.domain(), cfg.T, mu=mu)
-
-    def step(pt):
-        smix = ensemble.pushforward_mixture(state, pt.x)
-        if spec.kind == LossKind.LOGISTIC:
-            z = forecasters.predict_logistic(smix)
-        else:
-            z = forecasters.predict_squared_1d(smix, cfg.B)
-        loss = spec.loss(z, pt.y)
-        ensemble.observe(state, pt)
-        return loss
-
-    return _timed_rounds(bundle.points, step)
+    return _timed_rounds(bundle.points, lambda pt: spec.loss(ensemble.play_round(state, pt), pt.y))
 
 
 def _run_ogd(cfg: ExperimentConfig, bundle: StreamBundle, schedule, step_param: float):

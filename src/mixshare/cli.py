@@ -60,10 +60,9 @@ def _suite_ensemble(seed: int):
         anchor = grid = verification.gaussian_grid(0.0, 1.0)
         for t in range(T):
             pt = DataPoint(np.ones(1), B * float(np.clip(0.5 + 0.3 * rng.standard_normal(), -1, 1)))
-            z_ens = forecasters.predict_squared_1d(ensemble.pushforward_mixture(state, pt.x), B)
             z_grid = verification.grid_predict_squared(grid, spec)
+            z_ens = ensemble.play_round(state, pt)
             checks.append((f"equivalence_B{B:g}_round_{t + 1}", abs(z_ens - z_grid) < 1e-3))
-            state = ensemble.observe(state, pt)
             grid = verification.grid_fixed_share_round(grid, pt, spec, state.mu, anchor)
     return checks
 

@@ -11,18 +11,17 @@ verification module checks against a grid simulator.  At mu = 0 it is the
 no-fixed-share ablation.  ``view()`` reads the live mixture in place; copy
 what outlives the round.
 
-Every slot holds a mean and a covariance.  A round reads the 1-D
-pushforward (cov x, x'm, v) of the components along x once: the
-forecast's ``pushforward_mixture`` keeps it, and ``observe`` reuses it
-for a point with the same read-only x in the same round.  Every loss
-then updates every component by one rank-one write along cov x,
-``gaussian.rank_one_update``, from the (log factor, alpha, beta) of its
-tilt: ``gaussian.quadratic_tilt`` in closed form for the squared kinds,
-and the moment-matched ``posterior.logistic_tilt`` for the logistic
-loss.  So a round costs O(k d^2), plus O(64 k) for the logistic
-quadrature, solves no system and keeps no history.  Both sources return
-finite logs for every finite point, so the weights are reweighted in log
-space with no floor.
+Every slot holds a mean and a covariance.  ``play_round`` is one round:
+it pushes the components forward along x once, to (cov x, x'm, v), and
+evaluates each component's factor once, by ``gaussian.quadratic_tilt``
+at the labels -B, B and y for the squared kinds and from one
+``posterior.log_node_table`` for y = -1, +1 for the logistic loss.  The
+forecast reads the factors at the two label endpoints, never y; the
+update reweights by the factors at y and moves every component by one
+rank-one write along cov x, ``gaussian.rank_one_update``.  So a round
+costs O(k d^2), plus O(64 k) for the logistic quadrature, solves no
+system and keeps no history; the factors are finite logs for every
+finite point, so the weights are reweighted in log space with no floor.
 """
 
 from __future__ import annotations
@@ -32,9 +31,9 @@ import numbers
 import numpy as np
 
 from .core import DataPoint, DimensionError, DomainSpec, LossKind, LossSpec
-from .forecasters import GaussianMixture, ScalarGaussianMixture
+from .forecasters import GaussianMixture, ScalarGaussianMixture, _predict_logistic, _predict_squared
 from .gaussian import logsumexp, pushforward_stack, quadratic_tilt, rank_one_update
-from .posterior import logistic_tilt
+from .posterior import log_node_table, logistic_moments
 
 
 class HorizonExceededError(RuntimeError):
@@ -140,14 +139,12 @@ class FixedShareMixture:
 
 
 class EnsembleState(FixedShareMixture):
-    """The live ensemble.  ``observe`` mutates it in place."""
+    """The live ensemble.  ``play_round`` mutates it in place."""
 
     def __init__(self, loss_spec: LossSpec, domain: DomainSpec, horizon: int, mu: float | None):
         super().__init__(domain.center.copy(), horizon, mu)
         self.loss_spec = loss_spec
         self.quadratic = loss_spec.kind in (LossKind.SQUARED_1D, LossKind.LEAST_SQUARES)
-        # (round, x, cov_x, x'm, v) of the last pushforward_mixture
-        self._pushforward = None
 
 
 def init(spec: LossSpec, domain: DomainSpec, horizon: int, mu: float | None = None) -> EnsembleState:
@@ -155,9 +152,10 @@ def init(spec: LossSpec, domain: DomainSpec, horizon: int, mu: float | None = No
     return EnsembleState(spec, domain, horizon, mu)
 
 
-def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:
-    """Advance one round in place and return ``s``: meta reweight, base
-    updates, newborn at weight mu.
+def play_round(s: EnsembleState, point: DataPoint) -> float:
+    """One round in place: forecast z from the live mixture by the mixability
+    rule, then meta reweight, base updates and the newborn at weight mu;
+    returns z, which does not depend on ``point.y``.
 
     The shared ``check_open``, the feature shape and the label range are
     checked before any buffer is touched, so a rejected point leaves the
@@ -167,19 +165,28 @@ def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:
     _check_shape(s, point.x)
     s.loss_spec.check_label(point.y)
     k = s.n_learners
-    means, covs = s._means[:k], s._covs[:k]
-    x, cached = point.x, s._pushforward
-    if cached is not None and cached[0] == s.round and cached[1] is x and not x.flags.writeable:
-        cov_x, xm, v = cached[2:]  # this round's forecast pushed forward this very x
-    else:
-        cov_x, xm, v = pushforward_stack(means, covs, x)
+    log_w, means, covs = s._log_w[:k], s._means[:k], s._covs[:k]
+    cov_x, xm, v = pushforward_stack(means, covs, point.x)
     if s.quadratic:
-        # exp(-eta (x'w - y)^2) is the tilt with a = eta, b = 0 on s = x'w - y
-        log_factors, alpha, beta = quadratic_tilt(xm - point.y, v, s.loss_spec.eta, 0.0)
+        # exp(-eta (x'w - y)^2) is the tilt with a = eta, b = 0 on s = x'w - y, at y = -B, B and the label
+        B = s.loss_spec.B
+        log_factors, alpha, beta = quadratic_tilt(xm - np.array([[-B], [B], [point.y]]), v, s.loss_spec.eta, 0.0)
+        z = _predict_squared(log_w, log_factors[:2], B)
+        log_factors, alpha = log_factors[2], alpha[2]
     else:
-        log_factors, alpha, beta = logistic_tilt(xm, v, point.y)
+        table = log_node_table(xm, v, (-1.0, 1.0))
+        log_factors = logsumexp(table, axis=-1)
+        z, row = _predict_logistic(log_w, log_factors), int(point.y > 0.0)
+        alpha, beta = logistic_moments(table[row], log_factors[row], v)
+        log_factors = log_factors[row]
     rank_one_update(means, covs, cov_x, alpha, beta)
     s.fixed_share(log_factors)
+    return z
+
+
+def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:
+    """``play_round`` without its forecast: advance one round in place and return ``s``."""
+    play_round(s, point)
     return s
 
 
@@ -189,16 +196,11 @@ def _check_shape(s: EnsembleState, x: np.ndarray):
 
 
 def pushforward_mixture(s: EnsembleState, x: np.ndarray) -> ScalarGaussianMixture:
-    """1-D mixture of w'x, computed from the live components without copying
-    them.  Its means and variances are read-only: ``observe`` reuses them,
-    with cov x, when it is given a point with this very ``x`` in the same
-    round and ``x`` is read-only, so that its values cannot have changed.
-    A wrong-shaped or non-finite ``x`` raises as it does in ``observe``."""
+    """1-D mixture of w'x, computed from the live components; its arrays
+    are copies, so they outlive the round.  A wrong-shaped or non-finite
+    ``x`` raises as it does in ``play_round``."""
     x = np.asarray(x, dtype=float)
     _check_shape(s, x)
     if not np.isfinite(x).all():
         raise ValueError(f"features must be finite, got x = {x}")
-    k = s.n_learners
-    cov_x, xm, v = (_read_only(a) for a in pushforward_stack(s._means[:k], s._covs[:k], x))
-    s._pushforward = (s.round, x, cov_x, xm, v)
-    return ScalarGaussianMixture(s.log_weights.copy(), xm, v)
+    return s.view().pushforward(x)

@@ -2,13 +2,13 @@
 
 Every forecaster works on the 1-D mixture of the score w'x
 (``GaussianMixture.pushforward``).  Each loss family has one mix-loss
-function, which evaluates the mixture's normalizer at an array of labels
-in one call, and every public name reads it.  The squared family's
-(squared 1-D and least squares alike) takes each component's factor from
-``gaussian.quadratic_tilt``; its forecast is the clipped difference of
-the mix losses at the two label endpoints.  The logistic family's takes
-each component's factor from the log-sum-exp of one Gauss-Hermite node
-table per label (``posterior.log_logistic_mix_factors``); its mix loss is
+function, the normalizer from the log weights and the log factors at an
+array of labels, and one forecast rule on it, read by every public name
+and by ``ensemble.play_round``.  The squared family's factors (squared
+1-D and least squares alike) come from ``gaussian.quadratic_tilt``; its
+forecast is the clipped difference of the mix losses at the two label
+endpoints.  The logistic family's come from one Gauss-Hermite node table
+per label (``posterior.log_logistic_mix_factors``); its mix loss is
 -log P(y) and its forecast the log-odds log P(+1) - log P(-1), so no
 probability is formed outside log space and none is clamped.
 """
@@ -74,45 +74,58 @@ class MixLossValue:
     value: float
 
 
-def _mix_losses_squared(mix: ScalarGaussianMixture, ys, B: float) -> np.ndarray:
-    """-2 B^2 ln sum_i p_i E_i[exp(-(z - y)^2 / (2 B^2))] at every label y of ``ys``, in log-space."""
-    log_factors = quadratic_tilt(mix.mu - np.asarray(ys, dtype=float)[:, None], mix.v, 1.0 / (2.0 * B * B), 0.0)[0]
-    return -2.0 * B * B * logsumexp(mix.log_w + log_factors, axis=1)
+def _squared_log_factors(mix: ScalarGaussianMixture, ys, B: float) -> np.ndarray:
+    """log E_i[exp(-(z - y)^2 / (2 B^2))] for one label, or one row per label of a 1-D ``ys``."""
+    return quadratic_tilt(mix.mu - np.asarray(ys, dtype=float)[..., None], mix.v, 1.0 / (2.0 * B * B), 0.0)[0]
+
+
+def _mix_losses_squared(log_w, log_factors, B: float) -> np.ndarray:
+    """-2 B^2 ln sum_i p_i E_i[exp(-(z - y)^2 / (2 B^2))] for each label row of ``log_factors``, in log-space."""
+    return -2.0 * B * B * logsumexp(log_w + log_factors, axis=-1)
+
+
+def _predict_squared(log_w, log_factors, B: float) -> float:
+    """clip((m(-B) - m(B)) / (4B)) from the log factors at the labels -B and B."""
+    m_neg, m_pos = _mix_losses_squared(log_w, log_factors, B).tolist()
+    return float(min(max((m_neg - m_pos) / (4.0 * B), -B), B))
 
 
 def mix_loss_squared(mix: ScalarGaussianMixture, y: float, B: float) -> MixLossValue:
     """-2 B^2 ln sum_i p_i E_i[exp(-(z - y)^2 / (2 B^2))], in log-space."""
-    return MixLossValue(value=float(_mix_losses_squared(mix, [y], B)[0]))
+    return MixLossValue(value=float(_mix_losses_squared(mix.log_w, _squared_log_factors(mix, y, B), B)))
 
 
 def predict_squared_1d(mix: ScalarGaussianMixture, B: float) -> float:
     """Mix prediction clip((m(-B) - m(B)) / (4B)) from the mix losses at the two label endpoints."""
-    m_neg, m_pos = _mix_losses_squared(mix, [-B, B], B).tolist()
-    return float(min(max((m_neg - m_pos) / (4.0 * B), -B), B))
+    return _predict_squared(mix.log_w, _squared_log_factors(mix, [-B, B], B), B)
 
 
-def _mix_losses_logistic(mix: ScalarGaussianMixture, ys) -> np.ndarray:
-    """-log P(y) = -ln sum_i p_i E_i[exp(-logistic(z, y))] at every label y of ``ys``.
+def _mix_losses_logistic(log_w, log_factors) -> np.ndarray:
+    """-log P(y) = -ln sum_i p_i E_i[exp(-logistic(z, y))] for each label row of ``log_factors``.
 
     The quadrature is linear and sigmoid(z) + sigmoid(-z) = 1 at every node,
     so P(+1) + P(-1) = 1 to rounding and the mixability gap of
     ``predict_logistic`` vanishes identically for Gaussian components.
     """
-    ys = np.asarray(ys, dtype=float)[:, None, None]
-    return -logsumexp(mix.log_w + log_logistic_mix_factors(mix.mu, mix.v, ys), axis=1)
+    return -logsumexp(log_w + log_factors, axis=-1)
+
+
+def _predict_logistic(log_w, log_factors) -> float:
+    """The log-odds log P(+1) - log P(-1) from the log factors at the labels -1 and +1."""
+    m_neg, m_pos = _mix_losses_logistic(log_w, log_factors).tolist()
+    return m_neg - m_pos
 
 
 def mix_loss_logistic(mix: ScalarGaussianMixture, y: float) -> MixLossValue:
     """-ln sum_i p_i E_i[exp(-logistic(z, y))] = -log P(y) on the score mixture."""
-    return MixLossValue(value=float(_mix_losses_logistic(mix, [y])[0]))
+    return MixLossValue(value=float(_mix_losses_logistic(mix.log_w, log_logistic_mix_factors(mix.mu, mix.v, y))))
 
 
 def mean_sigmoid(mix: ScalarGaussianMixture) -> float:
     """P(+1) = sum_i p_i E_{z ~ N(mu_i, v_i)}[sigmoid(z)]."""
-    return float(np.exp(-_mix_losses_logistic(mix, [1.0])[0]))
+    return float(np.exp(-_mix_losses_logistic(mix.log_w, log_logistic_mix_factors(mix.mu, mix.v, 1.0))))
 
 
 def predict_logistic(mix: ScalarGaussianMixture) -> float:
     """The log-odds log P(+1) - log P(-1) of the mixture's label probabilities."""
-    m_neg, m_pos = _mix_losses_logistic(mix, [-1.0, 1.0]).tolist()
-    return m_neg - m_pos
+    return _predict_logistic(mix.log_w, log_logistic_mix_factors(mix.mu, mix.v, [-1.0, 1.0]))

@@ -2,9 +2,9 @@
 
 Closed-form entropy and KL divergence of one Gaussian, and the one
 posterior update of a stack of Gaussians, in two parts: the 1-D
-pushforward along x, which a forecast can read first, and the in-place
-rank-one write that uses it, driven by (log factor, alpha, beta) from
-``posterior.logistic_tilt`` or from ``quadratic_tilt``, the one quadratic
+pushforward along x, which a round's forecast and update share, and the
+in-place rank-one write that uses it, driven by (log factor, alpha, beta)
+from ``posterior.logistic_moments`` or ``quadratic_tilt``, the one quadratic
 closed form, whose log factor (the normalizer of exp(-a s^2 - b s), in
 log space so that long products stay stable) is every quadratic mix
 factor.  Also the one numpy log-sum-exp, of the mixture weights and of
@@ -95,13 +95,16 @@ def pushforward_stack(means: np.ndarray, covs: np.ndarray, x: np.ndarray) -> tup
     """The 1-D pushforward of every N(means[i], covs[i]) along x.
 
     Returns (cov_x, x'm, v): the (k, d) products covs @ x, the means
-    x'means[i] and the variances v = x' covs[i] x, floored at 0 against
-    round-off.  ``rank_one_update`` reads cov_x; the tilts read x'm and v.
+    x'means[i] and the variances v = x' covs[i] x; a v below 0 raises
+    ``CovarianceError``.  ``rank_one_update`` reads cov_x; the tilts read x'm and v.
     """
     x = np.asarray(x, dtype=float)
     k, d, _ = covs.shape
     cov_x = (covs.reshape(k * d, d) @ x).reshape(k, d)  # one GEMV, not k batched products
-    return cov_x, means @ x, np.maximum(cov_x @ x, 0.0)
+    v = cov_x @ x
+    if v.min() < 0.0:
+        raise CovarianceError(f"pushforward variance {v.min()} is negative: a covariance is indefinite along x")
+    return cov_x, means @ x, v
 
 
 def quadratic_tilt(mu, v, a: float, b: float) -> tuple:

@@ -10,11 +10,11 @@ mean and variance of the score, which ``gaussian.rank_one_update`` writes
 along cov x exactly as it writes a quadratic tilt, so the logistic
 learners keep no history and refit nothing.  The only Gauss-Hermite
 quadrature is one table, log(w_j / sqrt(pi)) - loss at the 64 nodes of a
-rule built on first use (``gauss_hermite_rule``); its log-sum-exp is the
-mix factor E_P[exp(-loss)] of the meta-learner and, for one label or an
-array of labels, the log label probability of the forecaster
-(``log_logistic_mix_factors``), and ``logistic_tilt`` takes the factor
-and the tilted moments from one table.
+rule built on first use (``gauss_hermite_rule``), for one label or an
+array of labels (``log_node_table``).  Its log-sum-exp is the mix factor
+of the meta-learner and the forecaster's log label probability
+(``log_logistic_mix_factors``); ``logistic_moments`` reads a label row's
+tilted moments, so ``ensemble.play_round`` builds one table a round.
 The logistic family's learning rate is fixed at 1 (``core.LossSpec``), so
 no function here takes a rate.
 """
@@ -117,12 +117,12 @@ def gauss_hermite_rule() -> tuple:
     return nodes, weights
 
 
-def _log_node_table(mu, v, y) -> np.ndarray:
+def log_node_table(mu, v, y) -> np.ndarray:
     """log(w_j / sqrt(pi)) - logistic_loss(z_ij, y) at the nodes z_ij = mu_i + sqrt(2 v_i) t_j
-    of every N(mu_i, v_i); (k, 64), or (n, k, 64) for labels of shape (n, 1, 1)."""
+    of every N(mu_i, v_i); (k, 64) for one label, (n, k, 64) for a 1-D array of n labels."""
     nodes, weights = gauss_hermite_rule()
     z = mu[:, None] + np.sqrt(2.0 * v)[:, None] * nodes[None, :]
-    return np.log(weights / np.sqrt(np.pi)) - logistic_loss(z, y)
+    return np.log(weights / np.sqrt(np.pi)) - logistic_loss(z, np.asarray(y, dtype=float)[..., None, None])
 
 
 def log_logistic_mix_factors(mu, v, y) -> np.ndarray:
@@ -132,28 +132,30 @@ def log_logistic_mix_factors(mu, v, y) -> np.ndarray:
     (``gauss_hermite_rule``); every weight is positive and the loss
     nonnegative, so the factor is at most 0 up to rounding, with no clamp.
     """
-    return logsumexp(_log_node_table(mu, v, y), axis=-1)
+    return logsumexp(log_node_table(mu, v, y), axis=-1)
 
 
 def logistic_tilt(mu, v, y: float) -> tuple:
-    """Moment-match the tilt sigmoid(y z) of every z ~ N(mu_i, v_i), as the
-    (log factor, alpha, beta) that ``gaussian.rank_one_update`` writes.
+    """Moment-match the tilt sigmoid(y z) of every z ~ N(mu_i, v_i): the (log factor, alpha, beta)
+    that ``gaussian.rank_one_update`` writes, from one node table's log-sum-exp and ``logistic_moments``."""
+    table = log_node_table(mu, v, y)
+    log_factor = logsumexp(table, axis=-1)
+    return (log_factor, *logistic_moments(table, log_factor, v))
 
-    One node table gives both: the log factor is its log-sum-exp, as in
-    ``log_logistic_mix_factors``, and exp(table - log factor) are the
-    tilted node weights r_j, proportional to w_j sigmoid(y z_j) and summing
-    to 1.  With z_j = mu + sqrt(2v) t_j the tilted mean is
-    mu + sqrt(2v) E_r[t] and the tilted variance 2v Var_r[t].  Then
-    alpha = (tilted mean - mu) / v and beta = (tilted variance - v) / v^2,
-    so the updated Gaussian has exactly the tilted moments along x; both
-    are 0 where v = 0, where the factor does not depend on w.  A tilted
-    variance that is not finite, or not positive where v > 0, raises
-    ``gaussian.CovarianceError``: it would leave a covariance that is not
-    positive definite.
+
+def logistic_moments(table, log_factor, v) -> tuple:
+    """The (alpha, beta) of the tilt whose (k, 64) node table has log-sum-exp ``log_factor``.
+
+    exp(table - log factor) are the tilted node weights r_j, proportional to
+    w_j sigmoid(y z_j) and summing to 1.  With z_j = mu + sqrt(2v) t_j the
+    tilted mean is mu + sqrt(2v) E_r[t] and the tilted variance 2v Var_r[t].
+    Then alpha = (tilted mean - mu) / v and beta = (tilted variance - v) / v^2,
+    so the updated Gaussian has exactly the tilted moments along x; both are
+    0 where v = 0, where the factor does not depend on w.  A tilted variance
+    that is not finite, or not positive where v > 0, raises
+    ``gaussian.CovarianceError``: the covariance would not be positive definite.
     """
     nodes, _ = gauss_hermite_rule()
-    table = _log_node_table(mu, v, y)
-    log_factor = logsumexp(table, axis=1)
     r = np.exp(table - log_factor[:, None])  # the largest r_j is at least 1/64, so no row underflows to 0
     t_mean = r @ nodes
     t_var = np.sum(r * np.square(nodes[None, :] - t_mean[:, None]), axis=1)
@@ -167,4 +169,4 @@ def logistic_tilt(mu, v, y: float) -> tuple:
     on_x = v > 0.0
     alpha = np.divide(np.sqrt(2.0 * v) * t_mean, v, out=np.zeros_like(v), where=on_x)
     beta = np.divide(2.0 * t_var - 1.0, v, out=np.zeros_like(v), where=on_x)  # (2v Var_r[t] - v) / v^2
-    return log_factor, alpha, beta
+    return alpha, beta

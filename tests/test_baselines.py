@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixshare import baselines, bench, ensemble, forecasters
+from mixshare import baselines, bench, ensemble
 from mixshare.core import DomainSpec, LossSpec
 
 
@@ -76,8 +76,4 @@ def test_static_ew_close_to_fixed_share_on_stationary_stream():
     fs = ensemble.init(spec, cfg.domain(), cfg.T)
     se = ensemble.init(spec, cfg.domain(), cfg.T, mu=0.0)
     for pt in bundle.points:
-        z_fs = forecasters.predict_squared_1d(ensemble.pushforward_mixture(fs, pt.x), cfg.B)
-        z_se = forecasters.predict_squared_1d(ensemble.pushforward_mixture(se, pt.x), cfg.B)
-        assert abs(z_fs - z_se) <= 0.05
-        fs = ensemble.observe(fs, pt)
-        se = ensemble.observe(se, pt)
+        assert abs(ensemble.play_round(fs, pt) - ensemble.play_round(se, pt)) <= 0.05

@@ -1,4 +1,4 @@
-from unittest import mock
+import copy
 
 import numpy as np
 import pytest
@@ -155,9 +155,7 @@ def test_ensemble_equals_grid_fixed_share_off_unit_label_bound(B):
     worst = 0.0
     for t in range(T):
         pt = DataPoint(np.ones(1), float(np.clip(rng.normal(0.5 * B * (-1.0) ** (t // 13), 0.3 * B), -B, B)))
-        z_ens = forecasters.predict_squared_1d(ensemble.pushforward_mixture(state, pt.x), B)
-        worst = max(worst, abs(z_ens - grid_predict_squared(grid, spec)))
-        state = ensemble.observe(state, pt)
+        worst = max(worst, abs(ensemble.play_round(state, pt) - grid_predict_squared(grid, spec)))
         grid = grid_fixed_share_round(grid, pt, spec, state.mu, anchor)
     assert worst <= 1e-3, f"worst |z| gap {worst:.2e} at B = {B}"
 
@@ -297,51 +295,32 @@ def _assert_same_state(a, b):
     assert np.array_equal(a.means(), b.means()) and np.array_equal(a.covs(), b.covs())
 
 
-def test_forecast_pushforward_reuse_is_bit_identical():
+@pytest.mark.parametrize("mu", [None, 0.0], ids=["default_mu", "mu_0"])
+def test_play_round_forecasts_from_the_mixture_before_its_update(mu):
+    # the forecast is the pinned forecaster on the pushforward taken before the
+    # round, the state is observe's, and a twin given another label forecasts alike
     for spec, d, points in _cache_streams():
-        forecast, plain = (ensemble.init(spec, DomainSpec(d, 1.0), 20) for _ in range(2))
+        played, observed = (ensemble.init(spec, DomainSpec(d, 1.0), 20, mu=mu) for _ in range(2))
         for pt in points:
-            ensemble.pushforward_mixture(forecast, pt.x)
-            with mock.patch.object(ensemble, "pushforward_stack") as recompute:
-                ensemble.observe(forecast, pt)
-            recompute.assert_not_called()
-            ensemble.observe(plain, pt)
-            _assert_same_state(forecast, plain)
+            twin = copy.deepcopy(played)
+            pf = ensemble.pushforward_mixture(played, pt.x)
+            if spec.kind == LossKind.LOGISTIC:
+                want = forecasters.predict_logistic(pf)
+            else:
+                want = forecasters.predict_squared_1d(pf, spec.B)
+            z = ensemble.play_round(played, pt)
+            assert z == want
+            ensemble.observe(observed, pt)
+            _assert_same_state(played, observed)
+            assert ensemble.play_round(twin, DataPoint(pt.x, -pt.y)) == z
 
 
-def test_stale_pushforward_is_not_reused():
-    for spec, d, points in _cache_streams():
-        stale, fresh = (ensemble.init(spec, DomainSpec(d, 1.0), 20) for _ in range(2))
-        for i in range(0, len(points) - 1, 2):
-            # read-only, but another x this round, and then the same x a round late
-            ensemble.pushforward_mixture(stale, points[i + 1].x)
-            for pt in points[i : i + 2]:
-                ensemble.observe(stale, pt)
-                ensemble.observe(fresh, pt)
-                _assert_same_state(stale, fresh)
-
-
-def test_writable_x_always_recomputes():
-    for spec, d, points in _cache_streams():
-        cached, fresh = (ensemble.init(spec, DomainSpec(d, 1.0), 20) for _ in range(2))
-        for pt in points:
-            ensemble.pushforward_mixture(cached, pt.x)
-            pt.x.flags.writeable = True
-            pt.x[0] += 0.5  # a caller may re-enable writes on the array it owns
-            ensemble.observe(cached, pt)
-            ensemble.observe(fresh, pt)
-            _assert_same_state(cached, fresh)
-
-
-def test_pushforward_arrays_are_read_only():
+def test_pushforward_copy_outlives_the_round():
     s, _ = _squared_state(T=10, d=2)
     pt = DataPoint(np.array([0.3, -1.2]), 0.4)
     pf = ensemble.pushforward_mixture(s, pt.x)
-    for a in (pf.mu, pf.v):
-        with pytest.raises(ValueError):
-            a[0] = 1.0
     ensemble.observe(s, pt)
-    assert s.means()[0] @ pt.x != pf.mu[0]  # the forecast's copy outlives the round
+    assert s.means()[0] @ pt.x != pf.mu[0]
 
 
 @pytest.mark.parametrize(
@@ -352,7 +331,8 @@ def test_pushforward_arrays_are_read_only():
 def test_pushforward_rejects_bad_features(x, error):
     # the errors observe gives through DataPoint, before the pushforward runs
     s, _ = _squared_state(T=10)
+    before = copy.deepcopy(s)
     with pytest.raises(error):
         ensemble.pushforward_mixture(s, x)
-    assert s._pushforward is None
+    _assert_same_state(s, before)
     assert np.array_equal(ensemble.pushforward_mixture(s, [0.5]).mu, [0.0])

@@ -11,6 +11,7 @@ from mixshare.gaussian import (
     entropy,
     kl_divergence,
     logsumexp,
+    pushforward_stack,
     quadratic_tilt,
 )
 
@@ -116,6 +117,11 @@ def test_pushforward_values():
     pf = mix.pushforward(np.array([1.0, 1.0]))
     assert pf.mu[0] == pytest.approx(3.0)
     assert pf.v[0] == pytest.approx(5.0)
+    # an indefinite covariance raises where x'cov x < 0; x = 0 gives v = 0 exactly, which is valid
+    covs = np.stack([np.eye(2), np.diag([1.0, -0.5])])
+    with pytest.raises(CovarianceError, match="negative"):
+        pushforward_stack(np.zeros((2, 2)), covs, np.array([0.0, 2.0]))
+    assert np.array_equal(pushforward_stack(np.zeros((2, 2)), covs, np.zeros(2))[2], [0.0, 0.0])
 
 
 def test_tilted_integral_point_mass_limit():

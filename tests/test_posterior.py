@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from mixshare import bench, ensemble, posterior
+from mixshare import bench, ensemble, forecasters, posterior
 from mixshare.core import DataPoint, DomainSpec, LabelRangeError, LossSpec, logistic_loss
 from mixshare.gaussian import CovarianceError, GaussianDist, pushforward_stack, rank_one_update
 from mixshare.posterior import (
@@ -125,22 +125,29 @@ def test_log_logistic_mix_factor_is_at_most_zero_and_finite_with_no_clamp():
         assert np.isfinite(log_factor).all() and (log_factor <= 0.0).all()
 
 
-def test_a_logistic_round_builds_three_node_tables(monkeypatch):
-    # the forecast builds one (k, 64) table per label, both in one call, and
-    # the update one for the realized label; a call returning (n, k, 64) builds n
-    build = posterior._log_node_table
-    tables = []
+@pytest.mark.parametrize(
+    "task, d, name, rows",
+    [("logistic", 2, "log_node_table", 2), ("squared1d", 1, "quadratic_tilt", 3)],
+    ids=["logistic", "squared1d"],
+)
+def test_a_round_evaluates_its_factors_in_one_call(monkeypatch, task, d, name, rows):
+    # logistic: one (2, k, 64) node table for y = -1, +1, the forecast reading both
+    # rows and the update the label's; squared: one quadratic_tilt on the (3, k)
+    # residuals at -B, B and the label
+    build, labels = getattr(ensemble, name), []
 
     def counted(*args):
-        table = build(*args)
-        tables.append(int(np.prod(table.shape[:-2])))
-        return table
+        out = build(*args)
+        # the label axis of an (n, k, 64) node table or of (n, k) quadratic log factors
+        labels.append(np.shape(out)[:-2] if name == "log_node_table" else np.shape(out[0])[:-1])
+        return out
 
-    monkeypatch.setattr(posterior, "_log_node_table", counted)
+    for module in (posterior, forecasters, ensemble):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
     T = 12
-    bench.run_experiment(bench.ExperimentConfig(task="logistic", d=2, T=T, algorithms=("fixed_share",)))
-    assert sum(tables) == 3 * T
-    assert len(tables) == 2 * T
+    bench.run_experiment(bench.ExperimentConfig(task=task, d=d, T=T, algorithms=("fixed_share",)))
+    assert labels == [(rows,)] * T
 
 
 def test_zero_features_leave_logistic_components_bit_identical():
