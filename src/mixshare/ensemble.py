@@ -185,7 +185,7 @@ def play_round(s: EnsembleState, point: DataPoint) -> float:
 
 
 def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:
-    """``play_round`` without its forecast: advance one round in place and return ``s``."""
+    """Advance one round in place by ``play_round`` and return ``s`` in place of the forecast."""
     play_round(s, point)
     return s
 
