@@ -15,10 +15,11 @@ Every slot holds a mean and a covariance.  ``play_round`` is one round:
 it pushes the components forward along x once, to (cov x, x'm, v), and
 evaluates each component's factor once, by ``gaussian.quadratic_tilt``
 at the labels -B, B and y for the squared kinds and from one
-``posterior.log_node_table`` for y = -1, +1 for the logistic loss.  The
-forecast reads the factors at the two label endpoints, never y; the
-update reweights by the factors at y and moves every component by one
-rank-one write along cov x, ``gaussian.rank_one_update``.  So a round
+``posterior.log_node_table`` for y = -1, +1 for the logistic loss, and
+the mixture's log normalizer ln Z once, at every label row.  The forecast
+reads ln Z at the two label endpoints, never y; the update reweights by
+the factors at y, renormalizes by ln Z(y) in ``fixed_share`` and moves
+every component by one rank-one write along cov x, ``gaussian.rank_one_update``.  So a round
 costs O(k d^2), plus O(64 k) for the logistic quadrature, solves no
 system and keeps no history; the factors are finite logs for every
 finite point, so the weights are reweighted in log space with no floor.
@@ -31,7 +32,7 @@ import numbers
 import numpy as np
 
 from .core import DataPoint, DimensionError, DomainSpec, LossKind, LossSpec
-from .forecasters import GaussianMixture, ScalarGaussianMixture, _predict_logistic, _predict_squared
+from .forecasters import GaussianMixture, ScalarGaussianMixture, _log_z, _predict_logistic, _predict_squared
 from .gaussian import logsumexp, pushforward_stack, quadratic_tilt, rank_one_update
 from .posterior import log_node_table, logistic_moments
 
@@ -98,14 +99,14 @@ class FixedShareMixture:
         if self.round > self.horizon:
             raise HorizonExceededError(f"round {self.round} exceeds horizon {self.horizon}")
 
-    def fixed_share(self, log_factors: np.ndarray):
-        """Close the round: reweight the live components by exp(log_factors),
-        renormalize, scale them by (1 - mu) and spawn the anchor at weight mu."""
+    def fixed_share(self, log_factors: np.ndarray, log_z: float):
+        """Close the round: reweight the live components by exp(log_factors), renormalize by the
+        caller's log_z = ln sum_i p_i exp(log_factors_i), scale by (1 - mu) and spawn the anchor at mu."""
         log_w = self._log_w[: self._k]
         log_w += log_factors
         self.round += 1
         # normalize and scale survivors by (1 - mu) in one shift; log(1 - 0) = 0 exactly
-        log_w -= logsumexp(log_w) - self._log_keep
+        log_w -= log_z - self._log_keep
         if self.mu > 0.0:
             self._spawn(self._log_mu)
 
@@ -171,16 +172,16 @@ def play_round(s: EnsembleState, point: DataPoint) -> float:
         # exp(-eta (x'w - y)^2) is the tilt with a = eta, b = 0 on s = x'w - y, at y = -B, B and the label
         B = s.loss_spec.B
         log_factors, alpha, beta = quadratic_tilt(xm - np.array([[-B], [B], [point.y]]), v, s.loss_spec.eta, 0.0)
-        z = _predict_squared(log_w, log_factors[:2], B)
-        log_factors, alpha = log_factors[2], alpha[2]
+        row, alpha = 2, alpha[2]
     else:
         table = log_node_table(xm, v, (-1.0, 1.0))
         log_factors = logsumexp(table, axis=-1)
-        z, row = _predict_logistic(log_w, log_factors), int(point.y > 0.0)
+        row = int(point.y > 0.0)
         alpha, beta = logistic_moments(table[row], log_factors[row], v)
-        log_factors = log_factors[row]
+    log_z = _log_z(log_w, log_factors)  # one normalizer a round, for the forecast and the update
+    z = _predict_squared(log_z[:2], B) if s.quadratic else _predict_logistic(log_z)
     rank_one_update(means, covs, cov_x, alpha, beta)
-    s.fixed_share(log_factors)
+    s.fixed_share(log_factors[row], log_z[row])
     return z
 
 

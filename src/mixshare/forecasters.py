@@ -1,16 +1,17 @@
 """Mix predictions from Gaussian mixtures for each loss family.
 
 Every forecaster works on the 1-D mixture of the score w'x
-(``GaussianMixture.pushforward``).  Each loss family has one mix-loss
-function, the normalizer from the log weights and the log factors at an
-array of labels, and one forecast rule on it, read by every public name
-and by ``ensemble.play_round``.  The squared family's factors (squared
-1-D and least squares alike) come from ``gaussian.quadratic_tilt``; its
-forecast is the clipped difference of the mix losses at the two label
-endpoints.  The logistic family's come from one Gauss-Hermite node table
-per label (``posterior.log_logistic_mix_factors``); its mix loss is
--log P(y) and its forecast the log-odds log P(+1) - log P(-1), so no
-probability is formed outside log space and none is clamped.
+(``GaussianMixture.pushforward``).  One normalizer serves every loss
+family, ``_log_z``: ln Z(y) = ln sum_i p_i exp(log factor_i(y)) at an
+array of labels, whose negative over the rate is the mix loss.  Each
+family's forecast rule, every public name and ``ensemble.play_round``
+read it; the round hands the label's ln Z on to ``fixed_share``.  The
+squared family's factors (squared 1-D and least squares alike) come from
+``gaussian.quadratic_tilt`` at ``core.LossSpec``'s rate, and its forecast
+is the clipped difference of the mix losses at the two label endpoints.
+The logistic family's come from one Gauss-Hermite node table per label
+(``posterior.log_logistic_mix_factors``); ln Z is log P(y) and the
+forecast the log-odds, so no probability leaves log space or is clamped.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import LossSpec
 from .gaussian import logsumexp, pushforward_stack, quadratic_tilt
 from .posterior import log_logistic_mix_factors
 
@@ -75,57 +77,53 @@ class MixLossValue:
 
 
 def _squared_log_factors(mix: ScalarGaussianMixture, ys, B: float) -> np.ndarray:
-    """log E_i[exp(-(z - y)^2 / (2 B^2))] for one label, or one row per label of a 1-D ``ys``."""
-    return quadratic_tilt(mix.mu - np.asarray(ys, dtype=float)[..., None], mix.v, 1.0 / (2.0 * B * B), 0.0)[0]
+    """log E_i[exp(-(z - y)^2 / (2 B^2))] for one label, or one row per label of a 1-D ``ys``;
+    the rate is ``LossSpec``'s, which raises ``ValueError`` on a B that is not positive and finite."""
+    return quadratic_tilt(mix.mu - np.asarray(ys, dtype=float)[..., None], mix.v, LossSpec.squared_1d(B).eta, 0.0)[0]
 
 
-def _mix_losses_squared(log_w, log_factors, B: float) -> np.ndarray:
-    """-2 B^2 ln sum_i p_i E_i[exp(-(z - y)^2 / (2 B^2))] for each label row of ``log_factors``, in log-space."""
-    return -2.0 * B * B * logsumexp(log_w + log_factors, axis=-1)
+def _log_z(log_w, log_factors) -> np.ndarray:
+    """ln Z(y) = ln sum_i p_i exp(log factor_i(y)) for each label row of ``log_factors``, in log-space."""
+    return logsumexp(log_w + log_factors, axis=-1)
 
 
-def _predict_squared(log_w, log_factors, B: float) -> float:
-    """clip((m(-B) - m(B)) / (4B)) from the log factors at the labels -B and B."""
-    m_neg, m_pos = _mix_losses_squared(log_w, log_factors, B).tolist()
+def _predict_squared(log_z, B: float) -> float:
+    """clip((m(-B) - m(B)) / (4B)) for the mix losses m = -2 B^2 ln Z at the labels -B and B."""
+    m_neg, m_pos = (-2.0 * B * B * log_z).tolist()
     return float(min(max((m_neg - m_pos) / (4.0 * B), -B), B))
 
 
 def mix_loss_squared(mix: ScalarGaussianMixture, y: float, B: float) -> MixLossValue:
     """-2 B^2 ln sum_i p_i E_i[exp(-(z - y)^2 / (2 B^2))], in log-space."""
-    return MixLossValue(value=float(_mix_losses_squared(mix.log_w, _squared_log_factors(mix, y, B), B)))
+    return MixLossValue(value=float(-2.0 * B * B * _log_z(mix.log_w, _squared_log_factors(mix, y, B))))
 
 
 def predict_squared_1d(mix: ScalarGaussianMixture, B: float) -> float:
     """Mix prediction clip((m(-B) - m(B)) / (4B)) from the mix losses at the two label endpoints."""
-    return _predict_squared(mix.log_w, _squared_log_factors(mix, [-B, B], B), B)
+    return _predict_squared(_log_z(mix.log_w, _squared_log_factors(mix, [-B, B], B)), B)
 
 
-def _mix_losses_logistic(log_w, log_factors) -> np.ndarray:
-    """-log P(y) = -ln sum_i p_i E_i[exp(-logistic(z, y))] for each label row of ``log_factors``.
+def _predict_logistic(log_z) -> float:
+    """The log-odds log P(+1) - log P(-1) from ln Z = log P(y) at the labels -1 and +1.
 
     The quadrature is linear and sigmoid(z) + sigmoid(-z) = 1 at every node,
     so P(+1) + P(-1) = 1 to rounding and the mixability gap of
     ``predict_logistic`` vanishes identically for Gaussian components.
     """
-    return -logsumexp(log_w + log_factors, axis=-1)
-
-
-def _predict_logistic(log_w, log_factors) -> float:
-    """The log-odds log P(+1) - log P(-1) from the log factors at the labels -1 and +1."""
-    m_neg, m_pos = _mix_losses_logistic(log_w, log_factors).tolist()
-    return m_neg - m_pos
+    log_p_neg, log_p_pos = log_z.tolist()
+    return log_p_pos - log_p_neg
 
 
 def mix_loss_logistic(mix: ScalarGaussianMixture, y: float) -> MixLossValue:
     """-ln sum_i p_i E_i[exp(-logistic(z, y))] = -log P(y) on the score mixture."""
-    return MixLossValue(value=float(_mix_losses_logistic(mix.log_w, log_logistic_mix_factors(mix.mu, mix.v, y))))
+    return MixLossValue(value=float(-_log_z(mix.log_w, log_logistic_mix_factors(mix.mu, mix.v, y))))
 
 
 def mean_sigmoid(mix: ScalarGaussianMixture) -> float:
     """P(+1) = sum_i p_i E_{z ~ N(mu_i, v_i)}[sigmoid(z)]."""
-    return float(np.exp(-_mix_losses_logistic(mix.log_w, log_logistic_mix_factors(mix.mu, mix.v, 1.0))))
+    return float(np.exp(_log_z(mix.log_w, log_logistic_mix_factors(mix.mu, mix.v, 1.0))))
 
 
 def predict_logistic(mix: ScalarGaussianMixture) -> float:
     """The log-odds log P(+1) - log P(-1) of the mixture's label probabilities."""
-    return _predict_logistic(mix.log_w, log_logistic_mix_factors(mix.mu, mix.v, [-1.0, 1.0]))
+    return _predict_logistic(_log_z(mix.log_w, log_logistic_mix_factors(mix.mu, mix.v, [-1.0, 1.0])))

@@ -19,8 +19,8 @@ every component's band, with two batched Cholesky factorizations.
 
 The state is an ``ensemble.FixedShareMixture``, the same buffered mixture
 the ensemble uses: ``oco_round`` tilts and repairs its live components in
-place and closes the round with the shared fixed-share step, so no
-component is copied and no array is concatenated.
+place and closes the round with the shared fixed-share step and the tilt's
+one log normalizer, so no component is copied and no array is concatenated.
 
 The repair step approximates the exact KL projection onto the mixture
 family, which the source analysis only proves to exist; the approximation
@@ -186,7 +186,7 @@ def oco_round(s: OcoState, grad_oracle) -> tuple:
     log_factors = ew_update_surrogate(live, g, w_t, s.gamma)
     s._prec_bound[: s.n_learners] += 0.5 * s.gamma * s.gamma * float(g @ g)
     approx_project_to_M(live, s.domain, s.horizon, s)
-    s.fixed_share(log_factors)
+    s.fixed_share(log_factors, logsumexp(live.log_w + log_factors))
     s.mixture.validate(s.domain)
     return w_t, s
 

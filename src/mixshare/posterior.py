@@ -3,18 +3,20 @@
 Quadratic losses admit an exact Gaussian recursion in natural parameters
 (precision, shift); ``QuadraticPosterior`` keeps it for one learner as the
 independent reference of the ensemble's covariance-form tilts.  The
-logistic factor of a Gaussian has no Gaussian closed form, so
-``logistic_tilt`` moment-matches it (assumed-density filtering): it
-returns the (log factor, alpha, beta) of the Gaussian with the tilted
-mean and variance of the score, which ``gaussian.rank_one_update`` writes
-along cov x exactly as it writes a quadratic tilt, so the logistic
-learners keep no history and refit nothing.  The only Gauss-Hermite
-quadrature is one table, log(w_j / sqrt(pi)) - loss at the 64 nodes of a
-rule built on first use (``gauss_hermite_rule``), for one label or an
-array of labels (``log_node_table``).  Its log-sum-exp is the mix factor
-of the meta-learner and the forecaster's log label probability
-(``log_logistic_mix_factors``); ``logistic_moments`` reads a label row's
-tilted moments, so ``ensemble.play_round`` builds one table a round.
+logistic factor of a Gaussian has no Gaussian closed form, so it is
+moment-matched (assumed-density filtering) to the Gaussian with the
+tilted mean and variance of the score, whose (alpha, beta)
+``gaussian.rank_one_update`` writes along cov x exactly as it writes a
+quadratic tilt, so the logistic learners keep no history and refit
+nothing.  The only Gauss-Hermite quadrature is one table,
+log(w_j / sqrt(pi)) - loss at the 64 nodes of a rule built on first use
+(``gauss_hermite_rule``), for one label or an array of labels
+(``log_node_table``).  Its log-sum-exp over the nodes is each
+component's log mix factor (``log_logistic_mix_factors``), and
+``logistic_moments`` reads a label row's tilted moments from the table
+and that factor.  ``ensemble.play_round`` composes the three on one
+table a round, and its forecast and its ``fixed_share`` read the same
+log normalizer of the mixture, ln Z(y) = log P(y).
 The logistic family's learning rate is fixed at 1 (``core.LossSpec``), so
 no function here takes a rate.
 """
@@ -133,14 +135,6 @@ def log_logistic_mix_factors(mu, v, y) -> np.ndarray:
     nonnegative, so the factor is at most 0 up to rounding, with no clamp.
     """
     return logsumexp(log_node_table(mu, v, y), axis=-1)
-
-
-def logistic_tilt(mu, v, y: float) -> tuple:
-    """Moment-match the tilt sigmoid(y z) of every z ~ N(mu_i, v_i): the (log factor, alpha, beta)
-    that ``gaussian.rank_one_update`` writes, from one node table's log-sum-exp and ``logistic_moments``."""
-    table = log_node_table(mu, v, y)
-    log_factor = logsumexp(table, axis=-1)
-    return (log_factor, *logistic_moments(table, log_factor, v))
 
 
 def logistic_moments(table, log_factor, v) -> tuple:

@@ -64,12 +64,19 @@ def test_observe_spawns_newborn_at_anchor():
     assert np.array_equal(s.means()[-1], s.w0)
 
 
-def test_weights_stay_normalized():
+@pytest.mark.parametrize("mu", [None, 0.0], ids=["default_mu", "mu_0"])
+@pytest.mark.parametrize(
+    "spec, d",
+    [(LossSpec.squared_1d(), 1), (LossSpec.least_squares(2.0), 3), (LossSpec.logistic(), 2)],
+    ids=["squared1d", "least_squares", "logistic"],
+)
+def test_weights_stay_normalized(spec, d, mu):
+    # fixed_share renormalizes by the log normalizer play_round hands it, for every loss
     rng = np.random.default_rng(30)
-    s, _ = _squared_state(T=40)
+    s = ensemble.init(spec, DomainSpec(d, 1.0), 40, mu=mu)
     for _ in range(30):
-        y = float(np.clip(rng.standard_normal(), -1, 1))
-        s = ensemble.observe(s, DataPoint(np.ones(1), y))
+        y = float(rng.choice([-1.0, 1.0]) if spec.kind == LossKind.LOGISTIC else np.clip(rng.standard_normal(), -1, 1))
+        s = ensemble.observe(s, DataPoint(np.ones(d) if d == 1 else rng.standard_normal(d), y))
         assert np.sum(s.weights) == pytest.approx(1.0, abs=1e-12)
         assert np.all(s.weights > 0)
 

@@ -114,6 +114,16 @@ def test_predict_squared_equals_its_two_endpoint_mix_losses(B):
         assert predict_squared_1d(mix, B) == float(np.clip(z, -B, B))
 
 
+@pytest.mark.parametrize("B", [-1.0, 0.0, np.nan, np.inf])
+def test_squared_forecasters_reject_a_label_bound_that_is_not_positive_and_finite(B):
+    # the rate is LossSpec.squared_1d(B).eta, so a bad B raises ValueError as LossSpec does
+    mix = ScalarGaussianMixture.from_weights([0.4, 0.6], [0.2, -0.5], [1.0, 0.3])
+    with pytest.raises(ValueError, match="B must be positive and finite"):
+        predict_squared_1d(mix, B)
+    with pytest.raises(ValueError, match="B must be positive and finite"):
+        mix_loss_squared(mix, 0.0, B)
+
+
 @pytest.mark.parametrize("B", [0.5, 1.0, 3.0])
 def test_predict_logistic_equals_its_two_label_mix_losses(B):
     # both labels' tables in one call give exactly the log-odds of mix_loss_logistic

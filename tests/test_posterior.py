@@ -7,16 +7,25 @@ import numpy as np
 import pytest
 
 from mixshare import bench, ensemble, forecasters, posterior
-from mixshare.core import DataPoint, DomainSpec, LabelRangeError, LossSpec, logistic_loss
-from mixshare.gaussian import CovarianceError, GaussianDist, pushforward_stack, rank_one_update
+from mixshare.core import DataPoint, DomainSpec, LabelRangeError, LossKind, LossSpec, logistic_loss
+from mixshare.gaussian import CovarianceError, GaussianDist, logsumexp, pushforward_stack, rank_one_update
 from mixshare.posterior import (
     QuadraticPosterior,
     log_logistic_mix_factors,
+    log_node_table,
     log_quad_mix_factor,
-    logistic_tilt,
+    logistic_moments,
     quad_update,
     quad_variance_recursion_check,
 )
+
+
+def _moment_matched_tilt(mu, v, y):
+    # the moment-matched logistic tilt as play_round composes it: one label's node
+    # table, its log-sum-exp (the log factor) and the moments read from both
+    table = log_node_table(mu, v, y)
+    log_factor = logsumexp(table, axis=-1)
+    return (log_factor, *logistic_moments(table, log_factor, v))
 
 
 def test_anchor_posterior_is_standard():
@@ -91,7 +100,7 @@ def test_logistic_tilt_matches_dense_grid_moments(mu, v, y):
     # N(mu, v) * sigmoid(y z), and exp(log factor) its mass; 64 nodes against 200 001 grid
     # points within +-12 sd: measured 3.3e-10 (mean), 1.2e-9 (relative variance) and
     # 3.3e-12 (mass) at worst, at v = 4; bounds 1e-8 and 1e-10 leave a margin of 8-30x
-    log_factor, alpha, beta = logistic_tilt(np.array([mu]), np.array([v]), y)
+    log_factor, alpha, beta = _moment_matched_tilt(np.array([mu]), np.array([v]), y)
     z = np.linspace(mu - 12 * np.sqrt(v), mu + 12 * np.sqrt(v), 200_001)
     dens = np.exp(-((z - mu) ** 2) / (2 * v) - logistic_loss(z, y))
     mass = dens.sum()
@@ -106,7 +115,7 @@ def test_logistic_tilt_matches_dense_grid_moments(mu, v, y):
 def test_logistic_tilt_is_zero_off_x_and_finite_for_tiny_variance():
     # v = 0: the factor does not depend on w, so alpha = beta = 0; a tiny v moves the
     # variance by a tiny amount, with no overflow in (tilted v - v) / v^2
-    log_factor, alpha, beta = logistic_tilt(np.array([0.3, 0.3, -0.2]), np.array([0.0, 1e-300, 1e-12]), -1.0)
+    log_factor, alpha, beta = _moment_matched_tilt(np.array([0.3, 0.3, -0.2]), np.array([0.0, 1e-300, 1e-12]), -1.0)
     assert alpha[0] == beta[0] == 0.0
     assert np.isfinite(alpha).all() and np.isfinite(beta).all()
     assert np.all(1.0 + beta * np.array([0.0, 1e-300, 1e-12]) > 0.0)
@@ -150,6 +159,60 @@ def test_a_round_evaluates_its_factors_in_one_call(monkeypatch, task, d, name, r
     assert labels == [(rows,)] * T
 
 
+
+@pytest.mark.parametrize(
+    "task, d, name, rows",
+    [("logistic", 2, "log_node_table", 2), ("squared1d", 1, "quadratic_tilt", 3)],
+    ids=["logistic", "squared1d"],
+)
+def test_a_round_evaluates_its_factors_in_one_call(monkeypatch, task, d, name, rows):
+    # logistic: one (2, k, 64) node table for y = -1, +1, the forecast reading both
+    # rows and the update the label's; squared: one quadratic_tilt on the (3, k)
+    # residuals at -B, B and the label
+    build, labels = getattr(ensemble, name), []
+
+    def counted(*args):
+        out = build(*args)
+        # the label axis of an (n, k, 64) node table or of (n, k) quadratic log factors
+        labels.append(np.shape(out)[:-2] if name == "log_node_table" else np.shape(out[0])[:-1])
+        return out
+
+    for module in (posterior, forecasters, ensemble):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    T = 12
+    bench.run_experiment(bench.ExperimentConfig(task=task, d=d, T=T, algorithms=("fixed_share",)))
+    assert labels == [(rows,)] * T
+
+
+@pytest.mark.parametrize("spec, d", [(LossSpec.logistic(), 2), (LossSpec.squared_1d(), 1)], ids=["logistic", "squared1d"])
+def test_a_round_reduces_the_weights_once(monkeypatch, spec, d):
+    # one log normalizer a round serves the forecast and fixed_share: squared, one
+    # log-sum-exp over the (3, k) label rows at -B, B and y; logistic, one over the
+    # (2, k, 64) node table and one over the (2, k) weighted factors; fixed_share, none
+    calls, fixed_share = [], ensemble.FixedShareMixture.fixed_share
+
+    def counted(a, axis=None):
+        calls.append(np.shape(a))
+        return logsumexp(a, axis)
+
+    def share(self, *args):
+        before = len(calls)
+        fixed_share(self, *args)
+        assert len(calls) == before
+
+    for module in (posterior, forecasters, ensemble):
+        monkeypatch.setattr(module, "logsumexp", counted)
+    monkeypatch.setattr(ensemble.FixedShareMixture, "fixed_share", share)
+    rng = np.random.default_rng(15)
+    s = ensemble.init(spec, DomainSpec(d, 1.0), 12)
+    for _ in range(12):
+        k, y = s.n_learners, float(rng.choice([-1.0, 1.0]))
+        calls.clear()
+        ensemble.play_round(s, DataPoint(rng.standard_normal(d), y))
+        assert calls == ([(2, k, 64), (2, k)] if spec.kind == LossKind.LOGISTIC else [(3, k)])
+
+
 def test_zero_features_leave_logistic_components_bit_identical():
     rng = np.random.default_rng(14)
     s = ensemble.init(LossSpec.logistic(), DomainSpec(2, 1.0), 10)
@@ -163,11 +226,11 @@ def test_zero_features_leave_logistic_components_bit_identical():
 
 def test_logistic_tilt_raises_on_a_variance_that_is_not_positive_and_finite(monkeypatch):
     with pytest.raises(CovarianceError):
-        logistic_tilt(np.zeros(1), np.array([np.inf]), 1.0)
+        _moment_matched_tilt(np.zeros(1), np.array([np.inf]), 1.0)
     # a one-node rule puts all tilted mass on one point: zero variance where v > 0
     monkeypatch.setattr(posterior, "gauss_hermite_rule", lambda: (np.zeros(1), np.full(1, np.sqrt(np.pi))))
     with pytest.raises(CovarianceError):
-        logistic_tilt(np.zeros(1), np.ones(1), 1.0)
+        _moment_matched_tilt(np.zeros(1), np.ones(1), 1.0)
 
 
 def test_mix_factors_bounded_by_one():
@@ -181,7 +244,7 @@ def test_mix_factors_bounded_by_one():
         ylog = 1.0 if rng.uniform() < 0.5 else -1.0
         ysq = float(np.clip(rng.standard_normal(), -1, 1))
         cov_x, xm, v = pushforward_stack(mean, cov, x)
-        log_factor, alpha, beta = logistic_tilt(xm, v, ylog)
+        log_factor, alpha, beta = _moment_matched_tilt(xm, v, ylog)
         assert 0.0 < np.exp(log_factor[0]) <= 1.0 and log_factor[0] <= 0.0
         assert 0.0 < np.exp(log_quad_mix_factor(qp, DataPoint(x, ysq), 1.0)) <= 1.0
         assert log_quad_mix_factor(qp, DataPoint(x, ysq), 1.0) <= 0.0
