@@ -82,6 +82,7 @@ class FixedShareMixture:
         self._births = np.empty(horizon + 1, dtype=np.int64)
         self._means = np.empty((horizon + 1, d))
         self._covs = np.empty((horizon + 1, d, d))
+        self._scratch = np.empty((horizon + 1, d, d))  # rank_one_update's outer products
         self._eye = _read_only(np.eye(d))  # the newborn's covariance
         self._spawn(0.0)
 
@@ -172,7 +173,7 @@ def play_round(s: EnsembleState, point: DataPoint) -> float:
         # exp(-eta (x'w - y)^2) is the tilt with a = eta, b = 0 on s = x'w - y, at y = -B, B and the label
         B = s.loss_spec.B
         log_factors, alpha, beta = quadratic_tilt(xm - np.array([[-B], [B], [point.y]]), v, s.loss_spec.eta, 0.0)
-        row, alpha = 2, alpha[2]
+        row = 2  # alpha is the label row's alone
     else:
         table = log_node_table(xm, v, (-1.0, 1.0))
         log_factors = logsumexp(table, axis=-1)
@@ -180,7 +181,7 @@ def play_round(s: EnsembleState, point: DataPoint) -> float:
         alpha, beta = logistic_moments(table[row], log_factors[row], v)
     log_z = _log_z(log_w, log_factors)  # one normalizer a round, for the forecast and the update
     z = _predict_squared(log_z[:2], B) if s.quadratic else _predict_logistic(log_z)
-    rank_one_update(means, covs, cov_x, alpha, beta)
+    rank_one_update(means, covs, cov_x, alpha, beta, s._scratch)
     s.fixed_share(log_factors[row], log_z[row])
     return z
 

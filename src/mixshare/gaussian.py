@@ -2,13 +2,15 @@
 
 Closed-form entropy and KL divergence of one Gaussian, and the one
 posterior update of a stack of Gaussians, in two parts: the 1-D
-pushforward along x, which a round's forecast and update share, and the
-in-place rank-one write that uses it, driven by (log factor, alpha, beta)
+pushforward along x, which a round's forecast and update share and which
+takes its three matrix-vector products by BLAS ``ndarray.dot``, and the
+in-place rank-one write that uses it, forming its outer products in a
+scratch buffer the mixture owns, driven by (log factor, alpha, beta)
 from ``posterior.logistic_moments`` or ``quadratic_tilt``, the one quadratic
 closed form, whose log factor (the normalizer of exp(-a s^2 - b s), in
 log space so that long products stay stable) is every quadratic mix
-factor.  Also the one numpy log-sum-exp, of the mixture weights and of
-the logistic node tables.
+factor and whose alpha is taken on the label's row only.  Also the one
+numpy log-sum-exp, of the mixture weights and of the logistic node tables.
 """
 
 from __future__ import annotations
@@ -97,14 +99,17 @@ def pushforward_stack(means: np.ndarray, covs: np.ndarray, x: np.ndarray) -> tup
     Returns (cov_x, x'm, v): the (k, d) products covs @ x, the means
     x'means[i] and the variances v = x' covs[i] x; a v below 0 raises
     ``CovarianceError``.  ``rank_one_update`` reads cov_x; the tilts read x'm and v.
+    Each product is one ``ndarray.dot``, a BLAS matrix-vector product over
+    the stacked rows; ``@`` would loop over the k d rows at a small inner
+    dimension, at several times the cost and with the same bits.
     """
     x = np.asarray(x, dtype=float)
     k, d, _ = covs.shape
-    cov_x = (covs.reshape(k * d, d) @ x).reshape(k, d)  # one GEMV, not k batched products
-    v = cov_x @ x
+    cov_x = covs.reshape(k * d, d).dot(x).reshape(k, d)
+    v = cov_x.dot(x)
     if v.min() < 0.0:
         raise CovarianceError(f"pushforward variance {v.min()} is negative: a covariance is indefinite along x")
-    return cov_x, means @ x, v
+    return cov_x, means.dot(x), v
 
 
 def quadratic_tilt(mu, v, a: float, b: float) -> tuple:
@@ -118,17 +123,27 @@ def quadratic_tilt(mu, v, a: float, b: float) -> tuple:
     -(1/2) ln(1 + 2av) + ((1/2) b^2 v - (a mu + b) mu) / (1 + 2av),
     which is finite at v = 0, where it is -a mu^2 - b mu, has no
     cancelling terms as av grows, and is the Gaussian MGF when a = 0.
+
+    A 2-D ``mu`` stacks label rows (n, k) over the one v (k,): the log
+    factor is every row's, alpha only the last row's, the label the
+    update reads.  At b = 0 the log factor skips the b terms, with the same
+    bits for finite v.
     """
     if a < 0:
         raise ValueError("quadratic tilt coefficient must be nonnegative")
     mu = np.asarray(mu, dtype=float)
     v = np.asarray(v, dtype=float)
     one_plus = 1.0 + 2.0 * a * v
-    log_factor = -0.5 * np.log(one_plus) + (0.5 * b * b * v - (a * mu + b) * mu) / one_plus
-    return log_factor, (-2.0 * a * mu - b) / one_plus, -2.0 * a / one_plus
+    if b == 0.0:
+        numer = 0.0 - a * mu * mu  # 0 * v - (a mu + 0) mu, bit for bit, zeros' signs included
+    else:
+        numer = 0.5 * b * b * v - (a * mu + b) * mu
+    label = mu[-1] if mu.ndim == 2 else mu
+    return -0.5 * np.log(one_plus) + numer / one_plus, (-2.0 * a * label - b) / one_plus, -2.0 * a / one_plus
 
 
-def rank_one_update(means: np.ndarray, covs: np.ndarray, cov_x: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
+def rank_one_update(means: np.ndarray, covs: np.ndarray, cov_x: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
+                    scratch: np.ndarray):
     """Move every N(means[i], covs[i]) to the Gaussian whose pushforward
     along x has mean x'm + alpha v and variance v + beta v^2, in place.
 
@@ -138,9 +153,14 @@ def rank_one_update(means: np.ndarray, covs: np.ndarray, cov_x: np.ndarray, alph
     each Gaussian only through (alpha, beta).  Symmetric covariances stay
     exactly symmetric, and cov' stays positive definite while
     1 + beta v > 0, that is, while the new variance along x is positive.
+
+    The k outer products are formed and scaled in the first k slots of
+    ``scratch``, a (>= k, d, d) buffer the mixture owns, so a round
+    allocates no (k, d, d) temporary; its other slots are left as they are.
     """
     means += alpha[:, None] * cov_x
-    covs += beta[:, None, None] * (cov_x[:, :, None] * cov_x[:, None, :])
+    outer = np.multiply(cov_x[:, :, None], cov_x[:, None, :], out=scratch[: len(cov_x)])
+    covs += np.multiply(beta[:, None, None], outer, out=outer)
 
 
 def logsumexp(a, axis=None):

@@ -116,19 +116,22 @@ def predict_mean(s: OcoState) -> np.ndarray:
     return s.view().mean()
 
 
-def ew_update_surrogate(mix: GaussianMixture, g: np.ndarray, w_ref: np.ndarray, gamma: float) -> np.ndarray:
+def ew_update_surrogate(mix: GaussianMixture, g: np.ndarray, w_ref: np.ndarray, gamma: float,
+                        scratch: np.ndarray) -> np.ndarray:
     """Exact Gaussian tilt of every component, in place, by exp(-gamma f / 2)
     for the surrogate f(w) = s + (gamma/2) s^2, s = g'(w - w_ref).
 
     The tilt is exp(-a s^2 - b s) for a = gamma^2/4 and b = gamma/2: the
     pushforward along g (``gaussian.pushforward_stack``), then
     ``gaussian.quadratic_tilt`` on the shifted means g'm - g'w_ref and the
-    ensemble's rank-one write, ``gaussian.rank_one_update``.  Returns the
-    per-component log factors; the caller owns the weights.
+    ensemble's rank-one write, ``gaussian.rank_one_update``, which forms
+    its outer products in ``scratch``, a (>= k, d, d) buffer (the state's
+    in ``oco_round``).  Returns the per-component log factors; the caller
+    owns the weights.
     """
     cov_x, gm, v = pushforward_stack(mix.means, mix.covs, g)
     log_factors, alpha, beta = quadratic_tilt(gm - float(g @ w_ref), v, gamma * gamma / 4.0, gamma / 2.0)
-    rank_one_update(mix.means, mix.covs, cov_x, alpha, beta)
+    rank_one_update(mix.means, mix.covs, cov_x, alpha, beta, scratch)
     return log_factors
 
 
@@ -183,7 +186,7 @@ def oco_round(s: OcoState, grad_oracle) -> tuple:
     if not float(np.linalg.norm(g)) <= s.G * (1.0 + 1e-9):  # NaN fails too
         raise ValueError(f"gradient norm {np.linalg.norm(g)} exceeds declared bound G = {s.G}")
     live = s.view()
-    log_factors = ew_update_surrogate(live, g, w_t, s.gamma)
+    log_factors = ew_update_surrogate(live, g, w_t, s.gamma, s._scratch)
     s._prec_bound[: s.n_learners] += 0.5 * s.gamma * s.gamma * float(g @ g)
     approx_project_to_M(live, s.domain, s.horizon, s)
     s.fixed_share(log_factors, logsumexp(live.log_w + log_factors))
@@ -192,12 +195,28 @@ def oco_round(s: OcoState, grad_oracle) -> tuple:
 
 
 def log_density(mix: GaussianMixture, points: np.ndarray) -> np.ndarray:
-    """ln of the mixture density at each row of ``points``; vectorized."""
+    """ln of the mixture density at each row of ``points``; vectorized.
+
+    With inverse Cholesky factors M_i = L_i^{-1}, the whitened residuals
+    M_i (u - m_i) = M_i u - M_i m_i of every point against every component
+    come from one BLAS ``dot`` of the points with the stacked (k d, d) factors.
+    Points are taken in chunks of about ``_DENSITY_CHUNK`` residual entries,
+    so no (k, n, d) array is formed whole.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    k, d = mix.means.shape
     chols = np.linalg.cholesky(mix.covs)
+    inv_chols = np.linalg.inv(chols)
     log_dets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
-    # L_i^{-1} (points - m_i)' for every component i in one batched solve
-    sol = np.linalg.solve(chols, np.swapaxes(points[None, :, :] - mix.means[:, None, :], 1, 2))
-    maha = np.sum(sol * sol, axis=1)
-    comp_log = -0.5 * (points.shape[1] * LOG_2PI + log_dets[:, None] + maha)
-    return logsumexp(mix.log_w[:, None] + comp_log, axis=0)
+    const = mix.log_w - 0.5 * (d * LOG_2PI + log_dets)
+    factors = inv_chols.reshape(k * d, d).T  # (d, k d): u @ factors stacks M_i u
+    shifts = np.einsum("kij,kj->ki", inv_chols, mix.means).reshape(k * d)
+    out = np.empty(len(points))
+    step = max(1, _DENSITY_CHUNK // (k * d))
+    for start in range(0, len(points), step):
+        z = (points[start:start + step].dot(factors) - shifts).reshape(-1, k, d)
+        out[start:start + step] = logsumexp(const - 0.5 * np.einsum("nkd,nkd->nk", z, z), axis=1)
+    return out
+
+
+_DENSITY_CHUNK = 1 << 18  # whitened residual entries per chunk, 2 MB of float64

@@ -13,6 +13,7 @@ from mixshare.gaussian import (
     logsumexp,
     pushforward_stack,
     quadratic_tilt,
+    rank_one_update,
 )
 
 
@@ -170,6 +171,68 @@ def test_tilted_integral_in_unit_interval():
 def test_tilted_integral_rejects_negative_a():
     with pytest.raises(ValueError):
         quadratic_tilt(0.0, 1.0, -0.1, 0.0)
+
+
+def _general_tilt(mu, v, a, b):
+    """The quadratic tilt's closed form on every row of mu, written out with its b terms."""
+    one_plus = 1.0 + 2.0 * a * v
+    log_factor = -0.5 * np.log(one_plus) + (0.5 * b * b * v - (a * mu + b) * mu) / one_plus
+    return log_factor, (-2.0 * a * mu - b) / one_plus, -2.0 * a / one_plus
+
+
+@pytest.mark.parametrize("b", [0.0, -0.0, 0.35, -1.2])
+def test_quadratic_tilt_label_row_and_zero_b_equal_the_general_form_bit_for_bit(b):
+    # (3, k) residuals over one v, with v = 0 and mu = +0 and -0 among them: the log factor
+    # is every row's, alpha the last row's; at b = 0 the b terms are skipped with the same bits
+    rng = np.random.default_rng(21)
+    k = 40
+    mu = rng.normal(0.0, 2.0, (3, k))
+    v = rng.uniform(0.0, 3.0, k)
+    v[:6] = 0.0
+    mu[:, 1:12:2], mu[:, 2:12:2] = 0.0, -0.0
+    for a in (0.0, 0.5, 1.7):
+        want_factor, want_alpha, want_beta = _general_tilt(mu, v, a, b)
+        log_factor, alpha, beta = quadratic_tilt(mu, v, a, b)
+        assert alpha.shape == beta.shape == (k,) and log_factor.shape == (3, k)
+        for got, want in ((log_factor, want_factor), (alpha, want_alpha[-1]), (beta, want_beta)):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        # one residual per component keeps alpha on every component
+        log_factor, alpha, _ = quadratic_tilt(mu[0], v, a, b)
+        assert np.array_equal(log_factor, want_factor[0]) and np.array_equal(alpha, want_alpha[0])
+        assert np.array_equal(np.signbit(log_factor), np.signbit(want_factor[0]))
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_pushforward_stack_equals_the_matmul_form_bit_for_bit(d):
+    # ndarray.dot (BLAS matrix-vector) against the @ form of the same stacked products
+    rng = np.random.default_rng(22 + d)
+    for k in (1, 7, 300):
+        means = rng.standard_normal((k, d))
+        covs = np.stack([_random_spd(rng, d) for _ in range(k)])
+        x = rng.standard_normal(d)
+        cov_x, xm, v = pushforward_stack(means, covs, x)
+        want_cov_x = (covs.reshape(k * d, d) @ x).reshape(k, d)
+        assert np.array_equal(cov_x, want_cov_x)
+        assert np.array_equal(xm, means @ x)
+        assert np.array_equal(v, want_cov_x @ x)
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_rank_one_update_in_scratch_equals_the_allocating_form_and_spares_unused_slots(d):
+    # the outer products formed and scaled in the first k of 14 slots, against the same
+    # three operations on fresh arrays
+    rng = np.random.default_rng(30 + d)
+    k, slots = 9, 14
+    means = rng.standard_normal((k, d))
+    covs = np.stack([_random_spd(rng, d) for _ in range(k)])
+    cov_x, _, v = pushforward_stack(means, covs, rng.standard_normal(d))
+    alpha, beta = rng.standard_normal(k), -rng.uniform(0.0, 1.0, k) / (1.0 + v)
+    want_means = means + alpha[:, None] * cov_x
+    want_covs = covs + beta[:, None, None] * (cov_x[:, :, None] * cov_x[:, None, :])
+    scratch = np.full((slots, d, d), 7.25)
+    rank_one_update(means, covs, cov_x, alpha, beta, scratch)
+    assert np.array_equal(means, want_means) and np.array_equal(covs, want_covs)
+    assert (scratch[k:] == 7.25).all()
 
 
 def test_gauss_hermite_exact_for_polynomials():

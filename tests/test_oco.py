@@ -36,7 +36,7 @@ def test_tilt_isotropic_component_precision_gain():
     # single N(0, I), g = e1: only the (1,1) precision entry changes, by gamma^2/2
     gamma = 0.2
     mix = _single_component(np.zeros(2), np.eye(2))
-    oco.ew_update_surrogate(mix, np.array([1.0, 0.0]), np.zeros(2), gamma)
+    oco.ew_update_surrogate(mix, np.array([1.0, 0.0]), np.zeros(2), gamma, np.empty_like(mix.covs))
     prec = np.linalg.inv(mix.covs[0])
     want = np.eye(2)
     want[0, 0] += gamma * gamma / 2.0
@@ -45,7 +45,7 @@ def test_tilt_isotropic_component_precision_gain():
 
 def test_tilt_zero_gradient_is_identity():
     mix = _single_component(np.array([0.1, -0.2]), 0.5 * np.eye(2))
-    log_factors = oco.ew_update_surrogate(mix, np.zeros(2), np.zeros(2), gamma=0.3)
+    log_factors = oco.ew_update_surrogate(mix, np.zeros(2), np.zeros(2), 0.3, np.empty_like(mix.covs))
     assert np.allclose(mix.means, [[0.1, -0.2]])
     assert np.allclose(mix.covs, 0.5 * np.eye(2))
     assert np.allclose(log_factors, 0.0)
@@ -66,7 +66,7 @@ def test_tilt_matches_normalized_product_density():
     W1, W2 = np.meshgrid(grid, grid, indexing="ij")
     pts = np.stack([W1.ravel(), W2.ravel()], axis=1)
     prior = np.exp(oco.log_density(mix, pts))
-    oco.ew_update_surrogate(mix, g, w_ref, gamma)
+    oco.ew_update_surrogate(mix, g, w_ref, gamma, np.empty_like(mix.covs))
     tilt = np.exp(-0.5 * gamma * _surrogate(pts, g, w_ref, gamma))
     dens = prior * tilt
     dz = grid[1] - grid[0]
@@ -89,7 +89,7 @@ def test_tilt_weights_stay_normalized():
     mix = GaussianMixture(np.log(w), 0.1 * rng.standard_normal((k, d)), covs)
     g, w_ref, gamma = rng.standard_normal(d), 0.1 * rng.standard_normal(d), 0.1
     pf = mix.pushforward(g)
-    log_factors = oco.ew_update_surrogate(mix, g, w_ref, gamma)
+    log_factors = oco.ew_update_surrogate(mix, g, w_ref, gamma, np.empty_like(mix.covs))
     t = np.linspace(-12.0, 12.0, 48_001)
     for i in range(k):
         s = pf.mu[i] - g @ w_ref + np.sqrt(pf.v[i]) * t
@@ -419,7 +419,7 @@ def test_oco_round_matches_copy_and_concatenate_recursion(R, monkeypatch):
         assert np.allclose(preds[t], w_t, rtol=0.0, atol=1e-12)
         g = w_t - c
         means, covs = means.copy(), covs.copy()
-        log_w = log_w + oco.ew_update_surrogate(GaussianMixture(log_w, means, covs), g, w_t, gamma)
+        log_w = log_w + oco.ew_update_surrogate(GaussianMixture(log_w, means, covs), g, w_t, gamma, np.empty_like(covs))
         log_w = log_w - logsumexp(log_w)
         means = dom.project(means)
         eigvals, eigvecs = np.linalg.eigh(covs)
@@ -512,6 +512,35 @@ def test_log_density_matches_scipy_mixture():
     for i in range(k):
         want += w[i] * multivariate_normal.pdf(pts, means[i], covs[i])
     assert np.allclose(np.exp(oco.log_density(mix, pts)), want, rtol=1e-10)
+
+
+def _log_density_by_solves(mix, points):
+    """The mixture log density by one batched triangular solve per component, forming (k, d, n)."""
+    chols = np.linalg.cholesky(mix.covs)
+    log_dets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+    sol = np.linalg.solve(chols, np.swapaxes(points[None, :, :] - mix.means[:, None, :], 1, 2))
+    comp_log = -0.5 * (points.shape[1] * LOG_2PI + log_dets[:, None] + np.sum(sol * sol, axis=1))
+    return logsumexp(mix.log_w[:, None] + comp_log, axis=0)
+
+
+@pytest.mark.parametrize("k, d, n", [(1, 1, 5), (7, 3, 400), (60, 2, 3000), (25, 8, 900)])
+@pytest.mark.parametrize("chunk", [None, 50])
+def test_log_density_in_chunks_agrees_with_batched_solves(monkeypatch, k, d, n, chunk):
+    # whitening by inverse Cholesky factors in chunks of points changes only the rounding
+    if chunk is not None:
+        monkeypatch.setattr(oco, "_DENSITY_CHUNK", chunk)  # chunks of a few points, or one point
+    rng = np.random.default_rng(46 + d)
+    covs = []
+    for _ in range(k):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        covs.append(q @ np.diag(rng.uniform(1e-2, 1.0, d)) @ q.T)
+    covs = np.stack(covs)
+    mix = GaussianMixture(np.log(rng.dirichlet(np.ones(k))), rng.uniform(-1.0, 1.0, (k, d)),
+                          0.5 * (covs + np.swapaxes(covs, 1, 2)))
+    pts = rng.uniform(-2.0, 2.0, (n, d))
+    got, want = oco.log_density(mix, pts), _log_density_by_solves(mix, pts)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
 
 
 def test_density_bound_along_run():

@@ -142,39 +142,16 @@ def test_log_logistic_mix_factor_is_at_most_zero_and_finite_with_no_clamp():
 def test_a_round_evaluates_its_factors_in_one_call(monkeypatch, task, d, name, rows):
     # logistic: one (2, k, 64) node table for y = -1, +1, the forecast reading both
     # rows and the update the label's; squared: one quadratic_tilt on the (3, k)
-    # residuals at -B, B and the label
+    # residuals at -B, B and the label, whose alpha is the label row's alone, (k,)
     build, labels = getattr(ensemble, name), []
 
     def counted(*args):
         out = build(*args)
-        # the label axis of an (n, k, 64) node table or of (n, k) quadratic log factors
-        labels.append(np.shape(out)[:-2] if name == "log_node_table" else np.shape(out[0])[:-1])
-        return out
-
-    for module in (posterior, forecasters, ensemble):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, counted)
-    T = 12
-    bench.run_experiment(bench.ExperimentConfig(task=task, d=d, T=T, algorithms=("fixed_share",)))
-    assert labels == [(rows,)] * T
-
-
-
-@pytest.mark.parametrize(
-    "task, d, name, rows",
-    [("logistic", 2, "log_node_table", 2), ("squared1d", 1, "quadratic_tilt", 3)],
-    ids=["logistic", "squared1d"],
-)
-def test_a_round_evaluates_its_factors_in_one_call(monkeypatch, task, d, name, rows):
-    # logistic: one (2, k, 64) node table for y = -1, +1, the forecast reading both
-    # rows and the update the label's; squared: one quadratic_tilt on the (3, k)
-    # residuals at -B, B and the label
-    build, labels = getattr(ensemble, name), []
-
-    def counted(*args):
-        out = build(*args)
-        # the label axis of an (n, k, 64) node table or of (n, k) quadratic log factors
-        labels.append(np.shape(out)[:-2] if name == "log_node_table" else np.shape(out[0])[:-1])
+        if name == "log_node_table":  # the label axis of an (n, k, 64) node table
+            labels.append(np.shape(out)[:-2])
+        else:  # the label axis of the (n, k) log factors, and alpha's shape against (k,)
+            labels.append(np.shape(out[0])[:-1])
+            assert np.shape(out[1]) == np.shape(args[1]) == (np.shape(out[0])[-1],)
         return out
 
     for module in (posterior, forecasters, ensemble):
@@ -248,7 +225,7 @@ def test_mix_factors_bounded_by_one():
         assert 0.0 < np.exp(log_factor[0]) <= 1.0 and log_factor[0] <= 0.0
         assert 0.0 < np.exp(log_quad_mix_factor(qp, DataPoint(x, ysq), 1.0)) <= 1.0
         assert log_quad_mix_factor(qp, DataPoint(x, ysq), 1.0) <= 0.0
-        rank_one_update(mean, cov, cov_x, alpha, beta)
+        rank_one_update(mean, cov, cov_x, alpha, beta, np.empty_like(cov))
         qp = quad_update(qp, DataPoint(x, ysq), 1.0)
     np.linalg.cholesky(cov)
 
