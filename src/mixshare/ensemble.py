@@ -11,18 +11,22 @@ verification module checks against a grid simulator.  At mu = 0 it is the
 no-fixed-share ablation.  ``view()`` reads the live mixture in place; copy
 what outlives the round.
 
-Every slot holds a mean and a covariance.  ``play_round`` is one round:
-it pushes the components forward along x once, to (cov x, x'm, v), and
-evaluates each component's factor once, by ``gaussian.quadratic_tilt``
-at the labels -B, B and y for the squared kinds and from one
+Every slot holds a mean and a covariance, and the mixture owns one more
+(horizon + 1, d, d) buffer, the scratch in which the rank-one write forms
+its outer products.  ``play_round`` is one round: it pushes the
+components forward along x once, to (cov x, x'm, v), by three BLAS
+``ndarray.dot`` products, and evaluates each component's factor once, by
+``gaussian.quadratic_tilt`` at the labels -B, B and y for the squared
+kinds (alpha on the label's row alone) and from one
 ``posterior.log_node_table`` for y = -1, +1 for the logistic loss, and
 the mixture's log normalizer ln Z once, at every label row.  The forecast
 reads ln Z at the two label endpoints, never y; the update reweights by
 the factors at y, renormalizes by ln Z(y) in ``fixed_share`` and moves
-every component by one rank-one write along cov x, ``gaussian.rank_one_update``.  So a round
-costs O(k d^2), plus O(64 k) for the logistic quadrature, solves no
-system and keeps no history; the factors are finite logs for every
-finite point, so the weights are reweighted in log space with no floor.
+every component by one rank-one write along cov x, ``gaussian.rank_one_update``,
+in the scratch buffer.  So a round costs O(k d^2), plus O(64 k) for the
+logistic quadrature, solves no system, keeps no history and allocates
+no (k, d, d) array; the factors are finite logs for every finite point,
+so the weights are reweighted in log space with no floor.
 """
 
 from __future__ import annotations

@@ -194,6 +194,9 @@ def oco_round(s: OcoState, grad_oracle) -> tuple:
     return w_t, s
 
 
+_DENSITY_CHUNK = 1 << 18  # whitened residual entries per chunk of log_density, 2 MB of float64
+
+
 def log_density(mix: GaussianMixture, points: np.ndarray) -> np.ndarray:
     """ln of the mixture density at each row of ``points``; vectorized.
 
@@ -217,6 +220,3 @@ def log_density(mix: GaussianMixture, points: np.ndarray) -> np.ndarray:
         z = (points[start:start + step].dot(factors) - shifts).reshape(-1, k, d)
         out[start:start + step] = logsumexp(const - 0.5 * np.einsum("nkd,nkd->nk", z, z), axis=1)
     return out
-
-
-_DENSITY_CHUNK = 1 << 18  # whitened residual entries per chunk, 2 MB of float64
