@@ -104,16 +104,27 @@ class FixedShareMixture:
         if self.round > self.horizon:
             raise HorizonExceededError(f"round {self.round} exceeds horizon {self.horizon}")
 
-    def fixed_share(self, log_factors: np.ndarray, log_z: float):
-        """Close the round: reweight the live components by exp(log_factors), renormalize by the
-        caller's log_z = ln sum_i p_i exp(log_factors_i), scale by (1 - mu) and spawn the anchor at mu."""
-        log_w = self._log_w[: self._k]
-        log_w += log_factors
+    def update(self, cov_x: np.ndarray, log_factors: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """Close the round; the only write to the buffers in a round.
+
+        ``log_factors`` holds one row of per-component log factors per label,
+        the observed label's last.  Takes ln Z = ln sum_i p_i exp(log_factors_i)
+        at every row, moves every component by the rank-one write along
+        ``cov_x`` with (alpha, beta) in the scratch buffer, reweights by the
+        last row, renormalizes by its ln Z, scales by (1 - mu) and spawns the
+        anchor at mu.  Returns ln Z at every row.
+        """
+        k = self._k
+        log_w = self._log_w[:k]
+        log_z = _log_z(log_w, log_factors)
+        rank_one_update(self._means[:k], self._covs[:k], cov_x, alpha, beta, self._scratch)
+        log_w += log_factors[-1]
         self.round += 1
         # normalize and scale survivors by (1 - mu) in one shift; log(1 - 0) = 0 exactly
-        log_w -= log_z - self._log_keep
+        log_w -= log_z[-1] - self._log_keep
         if self.mu > 0.0:
             self._spawn(self._log_mu)
+        return log_z
 
     @property
     def n_learners(self) -> int:
@@ -170,24 +181,18 @@ def play_round(s: EnsembleState, point: DataPoint) -> float:
     s.check_open()
     _check_shape(s, point.x)
     s.loss_spec.check_label(point.y)
-    k = s.n_learners
-    log_w, means, covs = s._log_w[:k], s._means[:k], s._covs[:k]
-    cov_x, xm, v = pushforward_stack(means, covs, point.x)
+    live = s.view()
+    cov_x, xm, v = pushforward_stack(live.means, live.covs, point.x)
     if s.quadratic:
-        # exp(-eta (x'w - y)^2) is the tilt with a = eta, b = 0 on s = x'w - y, at y = -B, B and the label
+        # exp(-eta (x'w - y)^2) on the residual rows x'w - y at y = -B, B and the label
         B = s.loss_spec.B
         log_factors, alpha, beta = quadratic_tilt(xm - np.array([[-B], [B], [point.y]]), v, s.loss_spec.eta, 0.0)
-        row = 2  # alpha is the label row's alone
-    else:
-        table = log_node_table(xm, v, (-1.0, 1.0))
-        log_factors = logsumexp(table, axis=-1)
-        row = int(point.y > 0.0)
-        alpha, beta = logistic_moments(table[row], log_factors[row], v)
-    log_z = _log_z(log_w, log_factors)  # one normalizer a round, for the forecast and the update
-    z = _predict_squared(log_z[:2], B) if s.quadratic else _predict_logistic(log_z)
-    rank_one_update(means, covs, cov_x, alpha, beta, s._scratch)
-    s.fixed_share(log_factors[row], log_z[row])
-    return z
+        return _predict_squared(s.update(cov_x, log_factors, alpha, beta)[:2], B)
+    y = point.y
+    table = log_node_table(xm, v, (-y, y))
+    log_factors = logsumexp(table, axis=-1)
+    alpha, beta = logistic_moments(table[1], log_factors[1], v)
+    return y * _predict_logistic(s.update(cov_x, log_factors, alpha, beta))
 
 
 def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:

@@ -37,7 +37,7 @@ import numpy as np
 from .core import DimensionError, DomainSpec
 from .ensemble import FixedShareMixture
 from .forecasters import GaussianMixture
-from .gaussian import LOG_2PI, logsumexp, pushforward_stack, quadratic_tilt, rank_one_update
+from .gaussian import LOG_2PI, logsumexp, pushforward_stack, quadratic_tilt
 
 
 class ConstraintViolationError(ValueError):
@@ -111,30 +111,6 @@ def init_oco(domain: DomainSpec, horizon: int, eta: float, G: float) -> OcoState
     return OcoState(domain, horizon, gamma, G)
 
 
-def predict_mean(s: OcoState) -> np.ndarray:
-    """Mixture mean; a convex combination of in-domain component means."""
-    return s.view().mean()
-
-
-def ew_update_surrogate(mix: GaussianMixture, g: np.ndarray, w_ref: np.ndarray, gamma: float,
-                        scratch: np.ndarray) -> np.ndarray:
-    """Exact Gaussian tilt of every component, in place, by exp(-gamma f / 2)
-    for the surrogate f(w) = s + (gamma/2) s^2, s = g'(w - w_ref).
-
-    The tilt is exp(-a s^2 - b s) for a = gamma^2/4 and b = gamma/2: the
-    pushforward along g (``gaussian.pushforward_stack``), then
-    ``gaussian.quadratic_tilt`` on the shifted means g'm - g'w_ref and the
-    ensemble's rank-one write, ``gaussian.rank_one_update``, which forms
-    its outer products in ``scratch``, a (>= k, d, d) buffer (the state's
-    in ``oco_round``).  Returns the per-component log factors; the caller
-    owns the weights.
-    """
-    cov_x, gm, v = pushforward_stack(mix.means, mix.covs, g)
-    log_factors, alpha, beta = quadratic_tilt(gm - float(g @ w_ref), v, gamma * gamma / 4.0, gamma / 2.0)
-    rank_one_update(mix.means, mix.covs, cov_x, alpha, beta, scratch)
-    return log_factors
-
-
 def approx_project_to_M(mix: GaussianMixture, domain: DomainSpec, T: int, state: OcoState | None = None) -> None:
     """Per-component repair in place: project ``mix.means`` onto the ball and
     clamp the eigenvalues of ``mix.covs`` to [1/T, 1] in the eigenbasis;
@@ -177,7 +153,8 @@ def oco_round(s: OcoState, grad_oracle) -> tuple:
     before the oracle is called; a gradient of the wrong shape, non-finite
     or above G raises before the state is touched."""
     s.check_open()
-    w_t = predict_mean(s)
+    live = s.view()  # the round's pre-spawn components: the mean, the pushforward and the repair read it
+    w_t = live.mean()
     if not s.domain.contains(w_t, tol=1e-9):
         raise ConstraintViolationError("mixture mean escaped the domain")
     g = np.asarray(grad_oracle(w_t), dtype=float)
@@ -185,11 +162,12 @@ def oco_round(s: OcoState, grad_oracle) -> tuple:
         raise DimensionError(f"gradient shape {g.shape}, expected {s.w0.shape}")
     if not float(np.linalg.norm(g)) <= s.G * (1.0 + 1e-9):  # NaN fails too
         raise ValueError(f"gradient norm {np.linalg.norm(g)} exceeds declared bound G = {s.G}")
-    live = s.view()
-    log_factors = ew_update_surrogate(live, g, w_t, s.gamma, s._scratch)
-    s._prec_bound[: s.n_learners] += 0.5 * s.gamma * s.gamma * float(g @ g)
+    cov_x, gm, v = pushforward_stack(live.means, live.covs, g)
+    gamma = s.gamma
+    log_factors, alpha, beta = quadratic_tilt((gm - float(g @ w_t))[None], v, gamma * gamma / 4.0, gamma / 2.0)
+    s._prec_bound[: len(gm)] += 0.5 * gamma * gamma * float(g @ g)
+    s.update(cov_x, log_factors, alpha, beta)
     approx_project_to_M(live, s.domain, s.horizon, s)
-    s.fixed_share(log_factors, logsumexp(live.log_w + log_factors))
     s.mixture.validate(s.domain)
     return w_t, s
 

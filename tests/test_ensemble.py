@@ -75,7 +75,7 @@ def test_observe_spawns_newborn_at_anchor():
     ids=["squared1d", "least_squares", "logistic"],
 )
 def test_weights_stay_normalized(spec, d, mu):
-    # fixed_share renormalizes by the log normalizer play_round hands it, for every loss
+    # update renormalizes by the log normalizer of the label row it takes, for every loss
     rng = np.random.default_rng(30)
     s = ensemble.init(spec, DomainSpec(d, 1.0), 40, mu=mu)
     for _ in range(30):

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mixshare import bench, oco
 from mixshare.core import DimensionError, DomainSpec
 from mixshare.forecasters import GaussianMixture
-from mixshare.gaussian import LOG_2PI, logsumexp
+from mixshare.gaussian import LOG_2PI, logsumexp, pushforward_stack, quadratic_tilt, rank_one_update
 
 
 def _single_component(mean, cov):
@@ -16,6 +16,16 @@ def _surrogate(w, g, w_ref, gamma):
     """The surrogate s + (gamma/2) s^2, s = g'(w - w_ref), at a point or each row of a stack."""
     s = (np.asarray(w) - w_ref) @ g
     return s + 0.5 * gamma * s * s
+
+
+def _surrogate_tilt(mix, g, w_ref, gamma):
+    """Tilt every component of ``mix`` in place by exp(-gamma f~ / 2) with the kernels ``oco_round``
+    composes: the pushforward along g, the quadratic tilt on one residual row, the rank-one write.
+    Returns the per-component log factors log E_i[exp(-gamma f~ / 2)]."""
+    cov_x, gm, v = pushforward_stack(mix.means, mix.covs, g)
+    log_factors, alpha, beta = quadratic_tilt((gm - g @ w_ref)[None], v, gamma * gamma / 4.0, gamma / 2.0)
+    rank_one_update(mix.means, mix.covs, cov_x, alpha, beta, np.empty_like(mix.covs))
+    return log_factors[0]
 
 
 def test_init_gamma_is_strictest_condition():
@@ -36,7 +46,7 @@ def test_tilt_isotropic_component_precision_gain():
     # single N(0, I), g = e1: only the (1,1) precision entry changes, by gamma^2/2
     gamma = 0.2
     mix = _single_component(np.zeros(2), np.eye(2))
-    oco.ew_update_surrogate(mix, np.array([1.0, 0.0]), np.zeros(2), gamma, np.empty_like(mix.covs))
+    _surrogate_tilt(mix, np.array([1.0, 0.0]), np.zeros(2), gamma)
     prec = np.linalg.inv(mix.covs[0])
     want = np.eye(2)
     want[0, 0] += gamma * gamma / 2.0
@@ -45,7 +55,7 @@ def test_tilt_isotropic_component_precision_gain():
 
 def test_tilt_zero_gradient_is_identity():
     mix = _single_component(np.array([0.1, -0.2]), 0.5 * np.eye(2))
-    log_factors = oco.ew_update_surrogate(mix, np.zeros(2), np.zeros(2), 0.3, np.empty_like(mix.covs))
+    log_factors = _surrogate_tilt(mix, np.zeros(2), np.zeros(2), 0.3)
     assert np.allclose(mix.means, [[0.1, -0.2]])
     assert np.allclose(mix.covs, 0.5 * np.eye(2))
     assert np.allclose(log_factors, 0.0)
@@ -66,7 +76,7 @@ def test_tilt_matches_normalized_product_density():
     W1, W2 = np.meshgrid(grid, grid, indexing="ij")
     pts = np.stack([W1.ravel(), W2.ravel()], axis=1)
     prior = np.exp(oco.log_density(mix, pts))
-    oco.ew_update_surrogate(mix, g, w_ref, gamma, np.empty_like(mix.covs))
+    _surrogate_tilt(mix, g, w_ref, gamma)
     tilt = np.exp(-0.5 * gamma * _surrogate(pts, g, w_ref, gamma))
     dens = prior * tilt
     dz = grid[1] - grid[0]
@@ -89,7 +99,7 @@ def test_tilt_weights_stay_normalized():
     mix = GaussianMixture(np.log(w), 0.1 * rng.standard_normal((k, d)), covs)
     g, w_ref, gamma = rng.standard_normal(d), 0.1 * rng.standard_normal(d), 0.1
     pf = mix.pushforward(g)
-    log_factors = oco.ew_update_surrogate(mix, g, w_ref, gamma, np.empty_like(mix.covs))
+    log_factors = _surrogate_tilt(mix, g, w_ref, gamma)
     t = np.linspace(-12.0, 12.0, 48_001)
     for i in range(k):
         s = pf.mu[i] - g @ w_ref + np.sqrt(pf.v[i]) * t
@@ -419,7 +429,7 @@ def test_oco_round_matches_copy_and_concatenate_recursion(R, monkeypatch):
         assert np.allclose(preds[t], w_t, rtol=0.0, atol=1e-12)
         g = w_t - c
         means, covs = means.copy(), covs.copy()
-        log_w = log_w + oco.ew_update_surrogate(GaussianMixture(log_w, means, covs), g, w_t, gamma, np.empty_like(covs))
+        log_w = log_w + _surrogate_tilt(GaussianMixture(log_w, means, covs), g, w_t, gamma)
         log_w = log_w - logsumexp(log_w)
         means = dom.project(means)
         eigvals, eigvecs = np.linalg.eigh(covs)
@@ -489,7 +499,7 @@ def test_surrogate_upper_bounds_loss_difference():
     s = oco.init_oco(dom, T, eta=1.0 / dom.diameter**2, G=G)
     for _ in range(T):
         c = dom.project(rng.standard_normal(2))
-        w_t = oco.predict_mean(s)
+        w_t = s.view().mean()
         for _ in range(20):
             u = dom.project(rng.standard_normal(2))
             lhs = 0.5 * np.sum((w_t - c) ** 2) - 0.5 * np.sum((u - c) ** 2)

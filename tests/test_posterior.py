@@ -164,30 +164,34 @@ def test_a_round_evaluates_its_factors_in_one_call(monkeypatch, task, d, name, r
 
 @pytest.mark.parametrize("spec, d", [(LossSpec.logistic(), 2), (LossSpec.squared_1d(), 1)], ids=["logistic", "squared1d"])
 def test_a_round_reduces_the_weights_once(monkeypatch, spec, d):
-    # one log normalizer a round serves the forecast and fixed_share: squared, one
-    # log-sum-exp over the (3, k) label rows at -B, B and y; logistic, one over the
-    # (2, k, 64) node table and one over the (2, k) weighted factors; fixed_share, none
-    calls, fixed_share = [], ensemble.FixedShareMixture.fixed_share
+    # one log normalizer a round, inside FixedShareMixture.update, serves the forecast and
+    # the update: squared, one log-sum-exp over the (3, k) label rows at -B, B and y;
+    # logistic, one over the (2, k) weighted factors, after play_round's over the (2, k, 64)
+    # node table
+    calls, inside, update = [], [], ensemble.FixedShareMixture.update
 
     def counted(a, axis=None):
         calls.append(np.shape(a))
         return logsumexp(a, axis)
 
-    def share(self, *args):
+    def closing(self, *args):
         before = len(calls)
-        fixed_share(self, *args)
-        assert len(calls) == before
+        log_z = update(self, *args)
+        inside.extend(calls[before:])
+        return log_z
 
     for module in (posterior, forecasters, ensemble):
         monkeypatch.setattr(module, "logsumexp", counted)
-    monkeypatch.setattr(ensemble.FixedShareMixture, "fixed_share", share)
+    monkeypatch.setattr(ensemble.FixedShareMixture, "update", closing)
     rng = np.random.default_rng(15)
     s = ensemble.init(spec, DomainSpec(d, 1.0), 12)
     for _ in range(12):
         k, y = s.n_learners, float(rng.choice([-1.0, 1.0]))
         calls.clear()
+        inside.clear()
         ensemble.play_round(s, DataPoint(rng.standard_normal(d), y))
         assert calls == ([(2, k, 64), (2, k)] if spec.kind == LossKind.LOGISTIC else [(3, k)])
+        assert inside == calls[-1:]
 
 
 def test_zero_features_leave_logistic_components_bit_identical():
