@@ -186,7 +186,7 @@ def play_round(s: EnsembleState, point: DataPoint) -> float:
     if s.quadratic:
         # exp(-eta (x'w - y)^2) on the residual rows x'w - y at y = -B, B and the label
         B = s.loss_spec.B
-        log_factors, alpha, beta = quadratic_tilt(xm - np.array([[-B], [B], [point.y]]), v, s.loss_spec.eta, 0.0)
+        log_factors, alpha, beta = quadratic_tilt(xm - np.array([[-B], [B], [point.y]]), v, s.loss_spec.eta)
         return _predict_squared(s.update(cov_x, log_factors, alpha, beta)[:2], B)
     y = point.y
     table = log_node_table(xm, v, (-y, y))

@@ -79,7 +79,7 @@ class MixLossValue:
 def _squared_log_factors(mix: ScalarGaussianMixture, ys, B: float) -> np.ndarray:
     """log E_i[exp(-(z - y)^2 / (2 B^2))] for one label, or one row per label of a 1-D ``ys``;
     the rate is ``LossSpec``'s, which raises ``ValueError`` on a B that is not positive and finite."""
-    return quadratic_tilt(mix.mu - np.asarray(ys, dtype=float)[..., None], mix.v, LossSpec.squared_1d(B).eta, 0.0)[0]
+    return quadratic_tilt(mix.mu - np.asarray(ys, dtype=float)[..., None], mix.v, LossSpec.squared_1d(B).eta)[0]
 
 
 def _log_z(log_w, log_factors) -> np.ndarray:

@@ -112,34 +112,30 @@ def pushforward_stack(means: np.ndarray, covs: np.ndarray, x: np.ndarray) -> tup
     return cov_x, means.dot(x), v
 
 
-def quadratic_tilt(mu, v, a: float, b: float) -> tuple:
-    """The tilt exp(-a s^2 - b s), a >= 0, of every s ~ N(mu_i, v_i), as the
+def quadratic_tilt(r, v, a: float) -> tuple:
+    """The tilt exp(-a r^2), a >= 0, of every residual r ~ N(r_i, v_i), as the
     (log factor, alpha, beta) that ``rank_one_update`` writes, elementwise.
 
-    The tilt adds 2a to the precision along s, so the tilted variance is
-    v / (1 + 2av) and the tilted mean mu - (2a mu + b) v / (1 + 2av):
-    alpha = -(2a mu + b) / (1 + 2av) and beta = -2a / (1 + 2av).  The log
-    factor is log E[exp(-a s^2 - b s)]; completing the square gives
-    -(1/2) ln(1 + 2av) + ((1/2) b^2 v - (a mu + b) mu) / (1 + 2av),
-    which is finite at v = 0, where it is -a mu^2 - b mu, has no
-    cancelling terms as av grows, and is the Gaussian MGF when a = 0.
+    The tilt adds 2a to the precision along r, so the tilted variance is
+    v / (1 + 2av) and the tilted mean r - 2a r v / (1 + 2av): alpha =
+    -2a r / (1 + 2av) and beta = -2a / (1 + 2av).  The log factor is
+    log E[exp(-a r^2)] = -(1/2) ln(1 + 2av) - a r^2 / (1 + 2av), which is
+    finite at v = 0, where it is -a r^2, and has no cancelling terms as av
+    grows.  A linear term completes the square: exp(-a s^2 - b s) is
+    exp(b^2 / (4a)) exp(-a r^2) at r = s + b / (2a).
 
-    A 2-D ``mu`` stacks label rows (n, k) over the one v (k,): the log
+    A 2-D ``r`` stacks label rows (n, k) over the one v (k,): the log
     factor is every row's, alpha only the last row's, the label the
-    update reads.  At b = 0 the log factor skips the b terms, with the same
-    bits for finite v.
+    update reads.
     """
     if a < 0:
         raise ValueError("quadratic tilt coefficient must be nonnegative")
-    mu = np.asarray(mu, dtype=float)
+    r = np.asarray(r, dtype=float)
     v = np.asarray(v, dtype=float)
     one_plus = 1.0 + 2.0 * a * v
-    if b == 0.0:
-        numer = 0.0 - a * mu * mu  # 0 * v - (a mu + 0) mu, bit for bit, zeros' signs included
-    else:
-        numer = 0.5 * b * b * v - (a * mu + b) * mu
-    label = mu[-1] if mu.ndim == 2 else mu
-    return -0.5 * np.log(one_plus) + numer / one_plus, (-2.0 * a * label - b) / one_plus, -2.0 * a / one_plus
+    label = r[-1] if r.ndim == 2 else r
+    log_factor = -0.5 * np.log(one_plus) + (0.0 - a * r * r) / one_plus  # 0.0 - a r^2 is +0, never -0, at r = 0
+    return log_factor, -2.0 * a * label / one_plus, -2.0 * a / one_plus
 
 
 def rank_one_update(means: np.ndarray, covs: np.ndarray, cov_x: np.ndarray, alpha: np.ndarray, beta: np.ndarray,

@@ -164,7 +164,8 @@ def oco_round(s: OcoState, grad_oracle) -> tuple:
         raise ValueError(f"gradient norm {np.linalg.norm(g)} exceeds declared bound G = {s.G}")
     cov_x, gm, v = pushforward_stack(live.means, live.covs, g)
     gamma = s.gamma
-    log_factors, alpha, beta = quadratic_tilt((gm - float(g @ w_t))[None], v, gamma * gamma / 4.0, gamma / 2.0)
+    # exp(-(gamma/2) f~) = e^(1/4) exp(-(gamma^2/4) r^2) on r = g'm - (g'w_t - 1/gamma); update's ln Z omits the e^(1/4)
+    log_factors, alpha, beta = quadratic_tilt((gm - (float(g @ w_t) - 1.0 / gamma))[None], v, gamma * gamma / 4.0)
     s._prec_bound[: len(gm)] += 0.5 * gamma * gamma * float(g @ g)
     s.update(cov_x, log_factors, alpha, beta)
     approx_project_to_M(live, s.domain, s.horizon, s)

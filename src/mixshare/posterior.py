@@ -83,7 +83,7 @@ def log_quad_mix_factor(p: QuadraticPosterior, point: DataPoint, B: float) -> fl
     x = point.x
     mean = p.mean
     v = float(x @ np.linalg.solve(p.precision, x))
-    return float(quadratic_tilt(float(mean @ x) - point.y, v, 1.0 / (2.0 * B * B), 0.0)[0])
+    return float(quadratic_tilt(float(mean @ x) - point.y, v, 1.0 / (2.0 * B * B))[0])
 
 
 def quad_variance_recursion_check(steps: int, sigma1_sq: float = 1.0) -> float:

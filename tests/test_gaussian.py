@@ -125,17 +125,17 @@ def test_pushforward_values():
     assert np.array_equal(pushforward_stack(np.zeros((2, 2)), covs, np.zeros(2))[2], [0.0, 0.0])
 
 
+def _completed_square(mu, v, a, b):
+    """log E[exp(-a s^2 - b s)], s ~ N(mu, v), a > 0, as the tilt exp(-a r^2) at r = s + b / (2a)
+    plus b^2 / (4a)."""
+    return quadratic_tilt(mu + b / (2.0 * a), v, a)[0] + b * b / (4.0 * a)
+
+
 def test_tilted_integral_point_mass_limit():
-    # v = 0 reduces to exp(-a mu^2 - b mu); the squared-loss factor,
-    # a = 1/(2 B^2) and b = 0 on mu - y, to exp(-(mu - y)^2 / (2 B^2))
-    assert np.exp(quadratic_tilt(0.4, 0.0, 0.3, -0.7)[0]) == pytest.approx(np.exp(-0.3 * 0.16 + 0.7 * 0.4))
-    assert np.exp(quadratic_tilt(0.3 - 1.0, 0.0, 0.5, 0.0)[0]) == pytest.approx(np.exp(-0.49 / 2.0))
-
-
-def test_tilted_integral_is_mgf_at_zero_quadratic():
-    # a = 0 reduces to the Gaussian MGF E[exp(-b s)] = exp(-b mu + b^2 v / 2)
-    b = 0.9
-    assert np.exp(quadratic_tilt(0.4, 1.7, 0.0, b)[0]) == pytest.approx(np.exp(-b * 0.4 + b * b * 1.7 / 2.0))
+    # v = 0 reduces to exp(-a mu^2 - b mu); the squared-loss factor, a = 1/(2 B^2) on the
+    # residual mu - y, to exp(-(mu - y)^2 / (2 B^2))
+    assert np.exp(_completed_square(0.4, 0.0, 0.3, -0.7)) == pytest.approx(np.exp(-0.3 * 0.16 + 0.7 * 0.4))
+    assert np.exp(quadratic_tilt(0.3 - 1.0, 0.0, 0.5)[0]) == pytest.approx(np.exp(-0.49 / 2.0))
 
 
 def test_tilted_integral_vs_quadrature():
@@ -143,7 +143,7 @@ def test_tilted_integral_vs_quadrature():
     for _ in range(20):
         mu, v = rng.uniform(-1.5, 1.5), rng.uniform(0.0, 2.0)
         a, b = rng.uniform(0, 0.5), rng.uniform(-1, 1)
-        closed = np.exp(quadratic_tilt(mu, v, a, b)[0])
+        closed = np.exp(_completed_square(mu, v, a, b))
         quad = _gh_expect(mu, v, lambda s: np.exp(-a * s * s - b * s), hermgauss(128))
         assert closed == pytest.approx(quad, rel=1e-7)
 
@@ -154,23 +154,23 @@ def test_sq_exp_integral_vs_quadrature():
     for _ in range(20):
         mu, v = rng.uniform(-2, 2), rng.uniform(0.01, 3)
         y, B = rng.uniform(-1, 1), rng.uniform(0.5, 2)
-        closed = np.exp(quadratic_tilt(mu - y, v, 1.0 / (2.0 * B * B), 0.0)[0])
+        closed = np.exp(quadratic_tilt(mu - y, v, 1.0 / (2.0 * B * B))[0])
         quad = _gh_expect(mu, v, lambda z: np.exp(-((z - y) ** 2) / (2 * B * B)), hermgauss(128))
         assert closed == pytest.approx(quad, rel=1e-8)
 
 
 def test_tilted_integral_in_unit_interval():
-    # with b = 0 the integrand exp(-a s^2) lies in (0, 1]
+    # the integrand exp(-a r^2) lies in (0, 1]
     rng = np.random.default_rng(5)
     mu = rng.uniform(-5, 5, 100)
     v = rng.uniform(0, 5, 100)
-    vals = np.exp(quadratic_tilt(mu - 0.7, v, 1.0 / (2.0 * 1.3 * 1.3), 0.0)[0])
+    vals = np.exp(quadratic_tilt(mu - 0.7, v, 1.0 / (2.0 * 1.3 * 1.3))[0])
     assert np.all(vals > 0) and np.all(vals <= 1.0)
 
 
 def test_tilted_integral_rejects_negative_a():
     with pytest.raises(ValueError):
-        quadratic_tilt(0.0, 1.0, -0.1, 0.0)
+        quadratic_tilt(0.0, 1.0, -0.1)
 
 
 def _general_tilt(mu, v, a, b):
@@ -183,7 +183,8 @@ def _general_tilt(mu, v, a, b):
 @pytest.mark.parametrize("b", [0.0, -0.0, 0.35, -1.2])
 def test_quadratic_tilt_label_row_and_zero_b_equal_the_general_form_bit_for_bit(b):
     # (3, k) residuals over one v, with v = 0 and mu = +0 and -0 among them: the log factor
-    # is every row's, alpha the last row's; at b = 0 the b terms are skipped with the same bits
+    # is every row's, alpha the last row's.  At b = 0 every bit equals the general form's,
+    # zeros' signs included; a b != 0 enters as the completed square, to 1e-12
     rng = np.random.default_rng(21)
     k = 40
     mu = rng.normal(0.0, 2.0, (3, k))
@@ -191,13 +192,20 @@ def test_quadratic_tilt_label_row_and_zero_b_equal_the_general_form_bit_for_bit(
     v[:6] = 0.0
     mu[:, 1:12:2], mu[:, 2:12:2] = 0.0, -0.0
     for a in (0.0, 0.5, 1.7):
-        want_factor, want_alpha, want_beta = _general_tilt(mu, v, a, b)
-        log_factor, alpha, beta = quadratic_tilt(mu, v, a, b)
+        if b != 0.0 and a == 0.0:
+            continue  # exp(-b s) alone has no square to complete
+        want_factor, want_alpha, want_beta = _general_tilt(mu, v, a, b if b != 0.0 else 0.0)  # -0.0 is b = 0
+        log_factor, alpha, beta = quadratic_tilt(mu if b == 0.0 else mu + b / (2.0 * a), v, a)
         assert alpha.shape == beta.shape == (k,) and log_factor.shape == (3, k)
+        if b != 0.0:
+            got = (log_factor + b * b / (4.0 * a), alpha, beta)
+            for got, want in zip(got, (want_factor, want_alpha[-1], want_beta)):
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+            continue
         for got, want in ((log_factor, want_factor), (alpha, want_alpha[-1]), (beta, want_beta)):
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
         # one residual per component keeps alpha on every component
-        log_factor, alpha, _ = quadratic_tilt(mu[0], v, a, b)
+        log_factor, alpha, _ = quadratic_tilt(mu[0], v, a)
         assert np.array_equal(log_factor, want_factor[0]) and np.array_equal(alpha, want_alpha[0])
         assert np.array_equal(np.signbit(log_factor), np.signbit(want_factor[0]))
 

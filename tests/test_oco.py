@@ -20,12 +20,13 @@ def _surrogate(w, g, w_ref, gamma):
 
 def _surrogate_tilt(mix, g, w_ref, gamma):
     """Tilt every component of ``mix`` in place by exp(-gamma f~ / 2) with the kernels ``oco_round``
-    composes: the pushforward along g, the quadratic tilt on one residual row, the rank-one write.
-    Returns the per-component log factors log E_i[exp(-gamma f~ / 2)]."""
+    composes: the pushforward along g, the quadratic tilt exp(-(gamma^2/4) r^2) on the one residual
+    row r = g'm - (g'w_ref - 1/gamma), which is the surrogate's tilt times e^(-1/4), and the rank-one
+    write.  Returns the per-component log factors log E_i[exp(-gamma f~ / 2)]."""
     cov_x, gm, v = pushforward_stack(mix.means, mix.covs, g)
-    log_factors, alpha, beta = quadratic_tilt((gm - g @ w_ref)[None], v, gamma * gamma / 4.0, gamma / 2.0)
+    log_factors, alpha, beta = quadratic_tilt((gm - (g @ w_ref - 1.0 / gamma))[None], v, gamma * gamma / 4.0)
     rank_one_update(mix.means, mix.covs, cov_x, alpha, beta, np.empty_like(mix.covs))
-    return log_factors[0]
+    return log_factors[0] + 0.25
 
 
 def test_init_gamma_is_strictest_condition():
