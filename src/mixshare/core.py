@@ -78,7 +78,8 @@ class LossSpec:
 
 @dataclass(frozen=True, eq=False)
 class DomainSpec:
-    """Euclidean ball { w : ||w - center|| <= R } in R^d."""
+    """Euclidean ball { w : ||w - center|| <= R } in R^d; ``center`` is a
+    read-only copy of the finite center passed in (the origin by default)."""
 
     d: int
     R: float
@@ -91,10 +92,12 @@ class DomainSpec:
             raise ValueError("dimension must be positive")
         if not 0 < self.R < np.inf:  # NaN fails too
             raise ValueError(f"radius must be positive and finite, got {self.R}")
-        c = self.center if self.center is not None else np.zeros(self.d)
-        c = np.asarray(c, dtype=float)
+        c = np.array(self.center if self.center is not None else np.zeros(self.d), dtype=float)
         if c.shape != (self.d,):
             raise DimensionError(f"center has shape {c.shape}, expected ({self.d},)")
+        if not np.isfinite(c).all():
+            raise ValueError(f"center must be finite, got {c}")
+        c.flags.writeable = False
         object.__setattr__(self, "center", c)
 
     @property

@@ -179,7 +179,8 @@ def play_round(s: EnsembleState, point: DataPoint) -> float:
     state as it was.  Arrays read from ``s`` by view may change or go stale.
     """
     s.check_open()
-    _check_shape(s, point.x)
+    if point.x.shape != s.w0.shape:
+        raise DimensionError(f"feature shape {point.x.shape}, expected {s.w0.shape}")
     s.loss_spec.check_label(point.y)
     live = s.view()
     cov_x, xm, v = pushforward_stack(live.means, live.covs, point.x)
@@ -201,17 +202,8 @@ def observe(s: EnsembleState, point: DataPoint) -> EnsembleState:
     return s
 
 
-def _check_shape(s: EnsembleState, x: np.ndarray):
-    if x.shape != s.w0.shape:
-        raise DimensionError(f"feature shape {x.shape}, expected {s.w0.shape}")
-
-
 def pushforward_mixture(s: EnsembleState, x: np.ndarray) -> ScalarGaussianMixture:
     """1-D mixture of w'x, computed from the live components; its arrays
     are copies, so they outlive the round.  A wrong-shaped or non-finite
     ``x`` raises as it does in ``play_round``."""
-    x = np.asarray(x, dtype=float)
-    _check_shape(s, x)
-    if not np.isfinite(x).all():
-        raise ValueError(f"features must be finite, got x = {x}")
     return s.view().pushforward(x)

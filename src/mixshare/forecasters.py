@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LossSpec
+from .core import DimensionError, LossSpec
 from .gaussian import logsumexp, pushforward_stack, quadratic_tilt
 from .posterior import log_logistic_mix_factors
 
@@ -63,7 +63,13 @@ class GaussianMixture:
         return np.exp(self.log_w)
 
     def pushforward(self, x: np.ndarray) -> ScalarGaussianMixture:
-        """1-D mixture of w'x; its log-weights are a copy of this mixture's."""
+        """1-D mixture of w'x; its log-weights are a copy of this mixture's.  An ``x``
+        of the wrong shape raises ``DimensionError``, a non-finite one ``ValueError``."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.means.shape[1:]:
+            raise DimensionError(f"feature shape {x.shape}, expected {self.means.shape[1:]}")
+        if not np.isfinite(x).all():
+            raise ValueError(f"features must be finite, got x = {x}")
         _, xm, v = pushforward_stack(self.means, self.covs, x)
         return ScalarGaussianMixture(self.log_w.copy(), xm, v)
 

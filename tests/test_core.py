@@ -98,6 +98,24 @@ def test_domain_rejects_a_dimension_that_is_not_an_int(d):
         DomainSpec(d, 1.0)
 
 
+@pytest.mark.parametrize("center", [[np.nan, 0.0], [0.0, np.inf]], ids=["nan", "inf"])
+def test_domain_rejects_a_center_that_is_not_finite(center):
+    # a NaN center would make project return NaN rows and surface only in an OCO round
+    with pytest.raises(ValueError, match="center must be finite"):
+        DomainSpec(2, 1.0, center=np.array(center))
+
+
+def test_domain_keeps_a_read_only_copy_of_the_center():
+    c = np.array([0.5, -0.5])
+    dom = DomainSpec(2, 1.0, center=c)
+    c[0] = np.nan
+    assert np.array_equal(dom.center, [0.5, -0.5])
+    for center in (dom.center, DomainSpec(2, 1.0).center):
+        assert not center.flags.writeable
+        with pytest.raises(ValueError):
+            center[0] = 1.0
+
+
 def test_domain_stack_is_row_wise():
     rng = np.random.default_rng(7)
     dom = DomainSpec(3, 1.0, center=np.array([0.5, 0.0, -0.5]))

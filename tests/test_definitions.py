@@ -19,3 +19,19 @@ def test_no_module_level_name_is_defined_twice(path):
                 twice.append(f"{node.name} (line {node.lineno})")
             seen.add(node.name)
     assert not twice, f"defined more than once in {path.name}: {', '.join(twice)}"
+
+
+BUFFERS = {"_log_w", "_births", "_means", "_covs", "_scratch", "_k"}
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/mixshare/*.py")), ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_the_mixture_reads_its_buffers(path):
+    # FixedShareMixture owns its buffers: the package reads them off self alone, and the
+    # round writes them through FixedShareMixture.update; tests may still read them
+    foreign = [
+        f"{ast.unparse(node)} (line {node.lineno})"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in BUFFERS
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert not foreign, f"mixture buffers read off another object in {path.name}: {', '.join(foreign)}"

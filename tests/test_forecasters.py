@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixshare.core import DataPoint, LossSpec, logistic_loss
+from mixshare.core import DataPoint, DimensionError, LossSpec, logistic_loss
 from mixshare.forecasters import (
     GaussianMixture,
     ScalarGaussianMixture,
@@ -247,3 +247,16 @@ def test_mixture_mean_is_weight_average():
     covs = np.stack([np.eye(2)] * 2)
     mix = GaussianMixture(np.log(w), means, covs)
     assert np.allclose(mix.mean(), [0.25, 1.5])
+
+
+@pytest.mark.parametrize(
+    "x, error",
+    [([np.nan], ValueError), ([np.inf], ValueError), (np.ones(2), DimensionError), (np.ones((1, 1)), DimensionError)],
+    ids=["nan", "inf", "too_long", "matrix"],
+)
+def test_gaussian_mixture_pushforward_rejects_bad_features(x, error):
+    # the twin of test_ensemble's test_pushforward_rejects_bad_features, on the pinned name
+    mix = GaussianMixture(np.zeros(1), np.zeros((1, 1)), np.eye(1)[None])
+    with pytest.raises(error):
+        mix.pushforward(x)
+    assert np.array_equal(mix.pushforward([0.5]).mu, [0.0])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mixshare import bench, oco
+from mixshare import bench, ensemble, oco
 from mixshare.core import DimensionError, DomainSpec
 from mixshare.forecasters import GaussianMixture
 from mixshare.gaussian import LOG_2PI, logsumexp, pushforward_stack, quadratic_tilt, rank_one_update
@@ -379,6 +379,26 @@ def test_repair_counts_eigendecompositions_and_clamps(monkeypatch):
     active = _run_state(_oco_d3_config(R=0.01), monkeypatch)
     assert active.repair_decomposed >= active.repair_clamped > 0
     assert type(active.repair_decomposed) is int and type(active.repair_clamped) is int
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_surrogate_normalizer_is_at_most_one_on_every_round(seed, monkeypatch):
+    # criterion 6(ii)'s lemma, ln E_P[exp(-gamma f~ / 2)] <= 0, on every round of oco_d3:
+    # update's ln Z is that normalizer minus the completed square's 1/4, so ln Z + 1/4 <= 0.
+    # Over seeds 0-2 it read -2.58e-8 at most and -1.88e-4 at least, so >= -1e-3 catches a
+    # wrong shift constant
+    update, log_zs = ensemble.FixedShareMixture.update, []
+
+    def recording(self, *args):
+        log_zs.append(update(self, *args))
+        return log_zs[-1]
+
+    monkeypatch.setattr(ensemble.FixedShareMixture, "update", recording)
+    cfg = _oco_d3_config(seed=seed)
+    bench.run_experiment(cfg)
+    lemma = np.concatenate(log_zs) + 0.25
+    assert lemma.shape == (cfg.T,)
+    assert np.max(lemma) <= 0.0 and np.min(lemma) >= -1e-3
 
 
 def test_oco_round_preserves_membership():
