@@ -11,22 +11,22 @@ verification module checks against a grid simulator.  At mu = 0 it is the
 no-fixed-share ablation.  ``view()`` reads the live mixture in place; copy
 what outlives the round.
 
-Every slot holds a mean and a covariance, and the mixture owns one more
-(horizon + 1, d, d) buffer, the scratch in which the rank-one write forms
-its outer products.  ``play_round`` is one round: it pushes the
-components forward along x once, to (cov x, x'm, v), by three BLAS
-``ndarray.dot`` products, and evaluates each component's factor once, by
-``gaussian.quadratic_tilt`` at the labels -B, B and y for the squared
-kinds (alpha on the label's row alone) and from one
-``posterior.log_node_table`` for y = -1, +1 for the logistic loss, and
-the mixture's log normalizer ln Z once, at every label row.  The forecast
-reads ln Z at the two label endpoints, never y; the update reweights by
-the factors at y, renormalizes by ln Z(y) in ``fixed_share`` and moves
-every component by one rank-one write along cov x, ``gaussian.rank_one_update``,
-in the scratch buffer.  So a round costs O(k d^2), plus O(64 k) for the
-logistic quadrature, solves no system, keeps no history and allocates
-no (k, d, d) array; the factors are finite logs for every finite point,
-so the weights are reweighted in log space with no floor.
+Every slot holds a mean and a covariance, and one (horizon + 1, d, d)
+scratch buffer holds the rank-one write's outer products.
+``FixedShareMixture.update`` is the only code that writes the buffers in a
+round, for every loss: from the pushforward's cov x and one row of log
+factors per label, the observed label's last, it takes ln Z at every row,
+moves every component by ``gaussian.rank_one_update`` in the scratch
+buffer, shares by the last row and returns ln Z.  ``play_round`` reads the
+live mixture through ``view()``, pushes it forward along x once, to
+(cov x, x'm, v), by three BLAS ``ndarray.dot`` products, evaluates the
+factor rows once (``gaussian.quadratic_tilt`` on the residuals at -B, B
+and y for the squared kinds; one ``posterior.log_node_table`` for the
+labels -y, y for the logistic loss) and calls ``update``, whose ln Z the
+forecast reads at the two label endpoints, never y.  So a round costs
+O(k d^2), plus O(64 k) for the logistic quadrature, solves no system,
+keeps no history and allocates no (k, d, d) array; the factors are finite
+logs for every finite point, so the weights need no floor.
 """
 
 from __future__ import annotations
@@ -105,15 +105,11 @@ class FixedShareMixture:
             raise HorizonExceededError(f"round {self.round} exceeds horizon {self.horizon}")
 
     def update(self, cov_x: np.ndarray, log_factors: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        """Close the round; the only write to the buffers in a round.
-
-        ``log_factors`` holds one row of per-component log factors per label,
-        the observed label's last.  Takes ln Z = ln sum_i p_i exp(log_factors_i)
-        at every row, moves every component by the rank-one write along
-        ``cov_x`` with (alpha, beta) in the scratch buffer, reweights by the
-        last row, renormalizes by its ln Z, scales by (1 - mu) and spawns the
-        anchor at mu.  Returns ln Z at every row.
-        """
+        """Close the round: ln Z = ln sum_i p_i exp(log_factors_i) at every row of
+        ``log_factors`` (one per label, the observed label's last), the rank-one
+        write along ``cov_x`` with (alpha, beta) in the scratch buffer, then
+        reweight by the last row, renormalize by its ln Z, scale by (1 - mu)
+        and spawn the anchor at mu.  Returns ln Z at every row."""
         k = self._k
         log_w = self._log_w[:k]
         log_z = _log_z(log_w, log_factors)

@@ -4,10 +4,13 @@ Every forecaster works on the 1-D mixture of the score w'x
 (``GaussianMixture.pushforward``).  One normalizer serves every loss
 family, ``_log_z``: ln Z(y) = ln sum_i p_i exp(log factor_i(y)) at an
 array of labels, whose negative over the rate is the mix loss.  Each
-family's forecast rule, every public name and ``ensemble.play_round``
-read it; the round hands the label's ln Z on to ``fixed_share``.  The
-squared family's factors (squared 1-D and least squares alike) come from
-``gaussian.quadratic_tilt`` at ``core.LossSpec``'s rate, and its forecast
+family's forecast rule and every public name read it, and so does
+``ensemble.FixedShareMixture.update``, which closes the round with the
+last, the observed label's, row and returns ln Z at every row for the
+forecast.  ``GaussianMixture.pushforward`` checks x's shape and
+finiteness.  The squared family's factors (squared 1-D and least squares
+alike) come from ``gaussian.quadratic_tilt`` on the residuals at
+``core.LossSpec``'s rate, and its forecast
 is the clipped difference of the mix losses at the two label endpoints.
 The logistic family's come from one Gauss-Hermite node table per label
 (``posterior.log_logistic_mix_factors``); ln Z is log P(y) and the

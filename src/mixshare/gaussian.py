@@ -7,9 +7,10 @@ takes its three matrix-vector products by BLAS ``ndarray.dot``, and the
 in-place rank-one write that uses it, forming its outer products in a
 scratch buffer the mixture owns, driven by (log factor, alpha, beta)
 from ``posterior.logistic_moments`` or ``quadratic_tilt``, the one quadratic
-closed form, whose log factor (the normalizer of exp(-a s^2 - b s), in
-log space so that long products stay stable) is every quadratic mix
-factor and whose alpha is taken on the label's row only.  Also the one
+closed form, whose log factor (the normalizer of exp(-a r^2) on a residual
+row, in log space so that long products stay stable) is every quadratic
+mix factor, OCO's completed-square surrogate included, and whose alpha is
+taken on the label's row only.  Also the one
 numpy log-sum-exp, of the mixture weights and of the logistic node tables.
 """
 

@@ -2,9 +2,15 @@
 
 Each round predicts the mixture mean, tilts every Gaussian component in
 closed form by the exponential weight of the quadratic surrogate built
-from the observed gradient, repairs each component in place back into
-the constraint family (means inside the domain, covariance eigenvalues
-in [1/T, 1]), and mixes in the anchor.
+from the observed gradient, mixes in the anchor, and repairs each
+component in place back into the constraint family (means inside the
+domain, covariance eigenvalues in [1/T, 1]).
+
+The surrogate's weight exp(-(gamma/2) f~), f~ = s + (gamma/2) s^2 and
+s = g'(w - w_t), is e^(1/4) exp(-a r^2) at a = gamma^2/4 on the residual
+r = s + 1/gamma: the square completed, the constant cancels in the
+normalization, so ``update``'s ln Z is the surrogate normalizer minus 1/4.
+gamma <= 1/(8 G D) keeps gamma |s| <= 1/8, so nothing cancels badly.
 
 The repair projects every mean but eigendecomposes only the components
 whose spectrum can have left the band.  The surrogate tilt only adds
@@ -17,10 +23,10 @@ on those whose spectrum leaves [1/T, 1], and each screened bound is reset
 from its smallest eigenvalue.  The closing membership check still tests
 every component's band, with two batched Cholesky factorizations.
 
-The state is an ``ensemble.FixedShareMixture``, the same buffered mixture
-the ensemble uses: ``oco_round`` tilts and repairs its live components in
-place and closes the round with the shared fixed-share step and the tilt's
-one log normalizer, so no component is copied and no array is concatenated.
+The state is the ensemble's ``FixedShareMixture``.  One ``view()`` serves
+the mean, the pushforward along g and the repair; the shared ``update``
+closes the round, then the repair acts on that pre-spawn view in place
+(the newborn is in the band), so nothing is copied or concatenated.
 
 The repair step approximates the exact KL projection onto the mixture
 family, which the source analysis only proves to exist; the approximation
@@ -119,8 +125,9 @@ def approx_project_to_M(mix: GaussianMixture, domain: DomainSpec, T: int, state:
     One values-only ``eigvalsh`` screens the components; only those whose
     spectrum leaves [1/T, 1] are eigendecomposed and rebuilt.  The clamp is
     the identity on the others, so they are left untouched.  Without
-    ``state`` every component is screened.  With the ``OcoState`` whose
-    live mixture ``mix`` is, only the slots whose precision bound exceeds
+    ``state`` every component is screened.  With the ``OcoState`` whose first
+    slots ``mix`` views (``oco_round`` passes the round's pre-spawn view),
+    only the slots whose precision bound exceeds
     T (1 - 1e-9) are: every other covariance has all its eigenvalues above
     1/T and, the tilt only adding precision, none above 1 beyond round-off.
     Each screened slot's bound is reset to 1 / clip(lambda_min, 1/T, 1), and
@@ -148,8 +155,8 @@ def approx_project_to_M(mix: GaussianMixture, domain: DomainSpec, T: int, state:
 
 
 def oco_round(s: OcoState, grad_oracle) -> tuple:
-    """One full round in place: predict the mean, tilt, repair, fixed share;
-    returns (w_t, s).  Past the horizon the shared ``check_open`` raises
+    """One full round in place: predict the mean, tilt and share by ``update``,
+    repair; returns (w_t, s).  Past the horizon the shared ``check_open`` raises
     before the oracle is called; a gradient of the wrong shape, non-finite
     or above G raises before the state is touched."""
     s.check_open()
@@ -164,7 +171,7 @@ def oco_round(s: OcoState, grad_oracle) -> tuple:
         raise ValueError(f"gradient norm {np.linalg.norm(g)} exceeds declared bound G = {s.G}")
     cov_x, gm, v = pushforward_stack(live.means, live.covs, g)
     gamma = s.gamma
-    # exp(-(gamma/2) f~) = e^(1/4) exp(-(gamma^2/4) r^2) on r = g'm - (g'w_t - 1/gamma); update's ln Z omits the e^(1/4)
+    # the surrogate's weight as a completed square, e^(1/4) exp(-(gamma^2/4) r^2); ln Z omits the e^(1/4)
     log_factors, alpha, beta = quadratic_tilt((gm - (float(g @ w_t) - 1.0 / gamma))[None], v, gamma * gamma / 4.0)
     s._prec_bound[: len(gm)] += 0.5 * gamma * gamma * float(g @ g)
     s.update(cov_x, log_factors, alpha, beta)

@@ -15,8 +15,9 @@ log(w_j / sqrt(pi)) - loss at the 64 nodes of a rule built on first use
 component's log mix factor (``log_logistic_mix_factors``), and
 ``logistic_moments`` reads a label row's tilted moments from the table
 and that factor.  ``ensemble.play_round`` composes the three on one
-table a round, and its forecast and its ``fixed_share`` read the same
-log normalizer of the mixture, ln Z(y) = log P(y).
+table a round, for the labels -y, y, the observed label's row last, and
+its forecast and ``FixedShareMixture.update`` read the same log
+normalizer of the mixture, ln Z(y) = log P(y).
 The logistic family's learning rate is fixed at 1 (``core.LossSpec``), so
 no function here takes a rate.
 """
