@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixshare.core import DataPoint, DimensionError, LossSpec, logistic_loss
+from mixshare.core import DimensionError, LossSpec, logistic_loss
 from mixshare.forecasters import (
     GaussianMixture,
     ScalarGaussianMixture,
