@@ -198,8 +198,8 @@ def test_quadratic_tilt_label_row_and_zero_b_equal_the_general_form_bit_for_bit(
         log_factor, alpha, beta = quadratic_tilt(mu if b == 0.0 else mu + b / (2.0 * a), v, a)
         assert alpha.shape == beta.shape == (k,) and log_factor.shape == (3, k)
         if b != 0.0:
-            got = (log_factor + b * b / (4.0 * a), alpha, beta)
-            for got, want in zip(got, (want_factor, want_alpha[-1], want_beta)):
+            shifted = (log_factor + b * b / (4.0 * a), alpha, beta)
+            for got, want in zip(shifted, (want_factor, want_alpha[-1], want_beta)):
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
             continue
         for got, want in ((log_factor, want_factor), (alpha, want_alpha[-1]), (beta, want_beta)):
