@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DomainSpec
+from .core import DimensionError, DomainSpec
 
 
 class StepSchedule(Enum):
@@ -37,6 +37,8 @@ def init_ogd(domain: DomainSpec, schedule: StepSchedule, step_param: float) -> O
 def ogd_step(s: OgdState, g: np.ndarray) -> OgdState:
     """w <- project(w - eta_t g), in place; the iterate never leaves the domain."""
     g = np.asarray(g, dtype=float)
+    if g.shape != s.w.shape:  # a broadcasting gradient would reshape or smear the iterate
+        raise DimensionError(f"gradient has shape {g.shape}, expected {s.w.shape}")
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient must be finite")
     s.w = s.domain.project(s.w - s.step_size() * g)

@@ -21,7 +21,8 @@ repair and lambda_max(P) grows by at most (gamma^2 / 2)|g|^2 a round.
 ``eigvalsh``, only the slots whose bound can reach T; ``eigh`` runs only
 on those whose spectrum leaves [1/T, 1], and each screened bound is reset
 from its smallest eigenvalue.  The closing membership check still tests
-every component's band, with two batched Cholesky factorizations.
+every component's band, in one LDL' elimination interleaved across all
+components.
 
 The state is the ensemble's ``FixedShareMixture``.  One ``view()`` serves
 the mean, the pushforward along g and the repair; the shared ``update``
@@ -63,28 +64,49 @@ class MixtureInM:
         mean lies in the domain and every covariance is finite with its
         eigenvalues in [1/T - tol, 1 + tol].
 
-        The band is two batched Cholesky factorizations, of cov - (1/T - tol) I
-        and of (1 + tol) I - cov: both succeed exactly when every eigenvalue
-        lies inside.  Like ``eigvalsh`` they read the lower triangle;
-        ``eigvalsh`` runs only to word the error.
+        The band is one ``_in_band`` elimination over cov - (1/T - tol) I and
+        (1 + tol) I - cov for every component at once: every pivot is
+        positive exactly when every eigenvalue lies inside.  Like
+        ``eigvalsh`` it reads the lower triangle; ``eigvalsh`` runs only to
+        word the error.
         """
         m = self.mixture
         if not abs(float(logsumexp(m.log_w))) <= 1e-12:  # NaN fails too
             raise ConstraintViolationError("component weights do not sum to 1")
         if not domain.contains(m.means, tol=tol):
             raise ConstraintViolationError("component mean outside the domain")
-        if not np.isfinite(m.covs).all():  # cholesky returns NaN factors without raising
+        if not np.isfinite(m.covs).all():  # a NaN in the strict upper triangle reaches no pivot
             raise ConstraintViolationError("covariance is not finite")
         lo, hi = 1.0 / self.horizon, 1.0
-        eye = np.eye(m.covs.shape[-1])
-        try:
-            np.linalg.cholesky(m.covs - (lo - tol) * eye)
-            np.linalg.cholesky((hi + tol) * eye - m.covs)
-        except np.linalg.LinAlgError:
+        if not _in_band(m.covs, lo - tol, hi + tol):
             eigs = np.linalg.eigvalsh(m.covs)
             raise ConstraintViolationError(
                 f"covariance eigenvalues [{np.min(eigs)}, {np.max(eigs)}] outside [{lo}, {hi}]"
-            ) from None
+            )
+
+
+def _in_band(covs: np.ndarray, lo: float, hi: float) -> bool:
+    """Whether every (lower-triangle) covariance has lo I < cov < hi I.
+
+    The 2k matrices cov_i - lo I and hi I - cov_i are interleaved entry by
+    entry in one (d, d, 2k) stack, so each step of their LDL' elimination
+    is one vector operation over all of them.  Both ends of the band hold
+    exactly when every pivot is positive; a NaN pivot fails, as in
+    Cholesky.  Only the lower triangle is read; the strict upper one is
+    updated but never read.
+    """
+    k, d = covs.shape[:2]
+    a = np.empty((d, d, 2 * k))
+    ct = covs.transpose(1, 2, 0)
+    eye = np.eye(d)[..., None]
+    np.subtract(ct, lo * eye, out=a[..., :k])
+    np.subtract(hi * eye, ct, out=a[..., k:])
+    for j in range(d):
+        p = a[j, j]
+        if not p.min() > 0.0:  # NaN fails too
+            return False
+        a[j + 1 :, j + 1 :] -= a[j + 1 :, j, None] * (a[j + 1 :, j] / p)
+    return True
 
 
 class OcoState(FixedShareMixture):

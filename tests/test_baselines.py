@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixshare import baselines, bench, ensemble
-from mixshare.core import DomainSpec, LossSpec
+from mixshare.core import DimensionError, DomainSpec, LossSpec
 
 
 def test_ogd_zero_gradient_keeps_iterate():
@@ -40,6 +40,17 @@ def test_ogd_rejects_nonfinite_gradient():
     s = baselines.init_ogd(DomainSpec(1, 1.0), baselines.StepSchedule.CONSTANT, 0.1)
     with pytest.raises(ValueError):
         baselines.ogd_step(s, np.array([np.nan]))
+
+
+@pytest.mark.parametrize("d, g_shape", [(1, (3,)), (3, (1,)), (2, ()), (2, (2, 1))])
+def test_ogd_rejects_gradient_of_wrong_shape(d, g_shape):
+    # a gradient that merely broadcasts would turn the iterate into a
+    # 3-vector (d = 1) or apply one coordinate to every axis (d = 3)
+    s = baselines.init_ogd(DomainSpec(d, 1.0), baselines.StepSchedule.CONSTANT, 0.1)
+    w = s.w.copy()
+    with pytest.raises(DimensionError):
+        baselines.ogd_step(s, np.ones(g_shape))
+    assert np.array_equal(s.w, w) and s.round == 1
 
 
 @settings(max_examples=60, deadline=None)

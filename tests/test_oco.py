@@ -183,9 +183,12 @@ def test_validate_rejects_one_bad_component_among_many():
     bad_means[7] = [0.0, 1.5, 0.0]
     bad_covs = covs.copy()
     bad_covs[4] = np.diag([0.5, 0.01, 0.5])  # eigenvalue below 1/T
+    last_high = covs.copy()
+    last_high[k - 1] = np.diag([0.5, 0.5, 1.0 + 1e-6])  # eigenvalue above 1 + tol, in the last lane
     for mix in (
         GaussianMixture(good.log_w, bad_means, covs),
         GaussianMixture(good.log_w, means, bad_covs),
+        GaussianMixture(good.log_w, means, last_high),
         GaussianMixture(good.log_w + 0.1, means, covs),
     ):
         with pytest.raises(oco.ConstraintViolationError):
@@ -244,30 +247,72 @@ def _validate_verdict(covs, T, tol):
     ids=["below_lo_by_2tol", "above_hi_by_2tol", "below_lo_by_half_tol", "above_hi_by_half_tol"],
 )
 def test_validate_band_edges(eigs, accept):
-    # T = 10, tol = 1e-10: the band is [0.1 - tol, 1 + tol]; the Cholesky
-    # pair and eigvalsh give the same verdict on either side of each edge
+    # T = 10, tol = 1e-10: the band is [0.1 - tol, 1 + tol]; the band
+    # elimination and eigvalsh give the same verdict on either side of each edge
     covs = _rotated_covs([eigs, (0.3, 0.4, 0.5)], seed=50)
     assert _eigvalsh_band_verdict(covs, 10, 1e-10) == accept
     assert _validate_verdict(covs, 10, 1e-10) == accept
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 4),
+def _off_band_edges(covs, T, tol):
+    """Whether every extreme eigenvalue sits at least 1e-9 from an edge of the band."""
+    extremes = np.linalg.eigvalsh(covs)[:, [0, -1]]
+    return np.min(np.abs(extremes[..., None] - [1.0 / T - tol, 1.0 + tol])) >= 1e-9
+
+
+_random_stacks = given(
+    st.integers(1, 8),
     st.integers(2, 50),
     st.lists(st.floats(1e-3, 1.5), min_size=1, max_size=24),
     st.integers(0, 2**32 - 1),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@_random_stacks
 def test_validate_band_matches_eigvalsh(d, T, values, seed):
-    # random SPD stacks whose extreme eigenvalues sit at least 1e-9 from an
-    # edge of the band, so rounding cannot decide the verdict
+    # random SPD stacks whose extreme eigenvalues sit off the band's edges,
+    # so rounding cannot decide the verdict
     tol = 1e-10
     k = max(1, len(values) // d)
-    eigs = np.resize(np.asarray(values), (k, d))
-    covs = _rotated_covs(eigs, seed)
-    extremes = np.linalg.eigvalsh(covs)[:, [0, -1]]
-    assume(np.min(np.abs(extremes[..., None] - [1.0 / T - tol, 1.0 + tol])) >= 1e-9)
+    covs = _rotated_covs(np.resize(np.asarray(values), (k, d)), seed)
+    assume(_off_band_edges(covs, T, tol))
     assert _validate_verdict(covs, T, tol) == _eigvalsh_band_verdict(covs, T, tol)
+
+
+@settings(max_examples=200, deadline=None)
+@_random_stacks
+def test_validate_ignores_the_strict_upper_triangle(d, T, values, seed):
+    # like eigvalsh, the band test reads the lower triangle only: finite
+    # garbage above the diagonal leaves the verdict as it was
+    tol = 1e-10
+    k = max(1, len(values) // d)
+    covs = _rotated_covs(np.resize(np.asarray(values), (k, d)), seed)
+    assume(_off_band_edges(covs, T, tol))
+    want = _eigvalsh_band_verdict(covs, T, tol)
+    garbage = 10.0 ** np.random.default_rng(seed).uniform(-3, 3, covs.shape)
+    covs += np.triu(garbage, 1)
+    assert _eigvalsh_band_verdict(covs, T, tol) == want
+    assert _validate_verdict(covs, T, tol) == want
+
+
+@pytest.mark.parametrize("high", [0.9, 1.5], ids=["passing", "failing"])
+def test_validate_never_writes_its_input(high):
+    rng = np.random.default_rng(51)
+    k, d = 9, 3
+    covs = _rotated_covs(rng.uniform(0.2, 0.9, (k, d)), seed=51)
+    covs[-1] *= high / np.linalg.eigvalsh(covs[-1])[-1]
+    mix = GaussianMixture(np.full(k, -np.log(k)), 0.3 * DomainSpec(d, 1.0).project(rng.standard_normal((k, d))), covs)
+    before = [a.copy() for a in (mix.log_w, mix.means, mix.covs)]
+    for a in (mix.log_w, mix.means, mix.covs):
+        a.flags.writeable = False
+    if high <= 1.0:
+        oco.MixtureInM(mix, horizon=10).validate(DomainSpec(d, 1.0))
+    else:
+        with pytest.raises(oco.ConstraintViolationError):
+            oco.MixtureInM(mix, horizon=10).validate(DomainSpec(d, 1.0))
+    for a, b in zip((mix.log_w, mix.means, mix.covs), before):
+        assert a.tobytes() == b.tobytes()
 
 
 def _oco_d3_config(T=600, R=1.0, seed=0):
