@@ -270,7 +270,7 @@ def generate_stream(cfg: ExperimentConfig) -> StreamBundle:
 
 def _oco_loss(w: np.ndarray, c: np.ndarray) -> float:
     """The oco_quadratic loss (1/2)||w - c||^2 of the point w at target c."""
-    return 0.5 * float(np.sum((w - c) ** 2))
+    return 0.5 * float(np.add.reduce((w - c) ** 2))
 
 
 def _comparator_losses(cfg: ExperimentConfig, bundle: StreamBundle) -> np.ndarray:

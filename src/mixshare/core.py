@@ -79,7 +79,8 @@ class LossSpec:
 @dataclass(frozen=True, eq=False)
 class DomainSpec:
     """Euclidean ball { w : ||w - center|| <= R } in R^d; ``center`` is a
-    read-only copy of the finite center passed in (the origin by default)."""
+    read-only copy of the finite center passed in (the origin by default).
+    Norms are sqrt(add.reduce(delta * delta)), ``np.linalg.norm``'s own, bit for bit."""
 
     d: int
     R: float
@@ -106,14 +107,14 @@ class DomainSpec:
 
     def contains(self, w: np.ndarray, tol: float = 0.0) -> bool:
         """Whether ``w`` lies in the ball; for a (k, d) stack, whether every row does."""
-        norms = np.linalg.norm(np.asarray(w, dtype=float) - self.center, axis=-1)
-        return bool((norms <= self.R + tol).all())
+        delta = np.asarray(w, dtype=float) - self.center
+        return bool((np.sqrt(np.add.reduce(delta * delta, axis=-1)) <= self.R + tol).all())
 
     def project(self, w: np.ndarray) -> np.ndarray:
         """Euclidean projection onto the ball; a (k, d) stack is projected row-wise."""
         w = np.asarray(w, dtype=float)
         delta = w - self.center
-        norms = np.linalg.norm(delta, axis=-1, keepdims=True)
+        norms = np.sqrt(np.add.reduce(delta * delta, axis=-1, keepdims=True))
         inside = norms <= self.R
         if inside.all():
             return w
@@ -122,7 +123,8 @@ class DomainSpec:
         radius, shrink = np.full_like(norms, self.R), np.finfo(float).eps * self.R
         while True:
             out = np.where(inside, w, self.center + delta * (radius / np.maximum(norms, self.R)))
-            over = np.linalg.norm(out - self.center, axis=-1, keepdims=True) > self.R
+            step = out - self.center
+            over = np.sqrt(np.add.reduce(step * step, axis=-1, keepdims=True)) > self.R
             if not over.any():
                 return out
             radius, shrink = np.where(over, radius - shrink, radius), 2.0 * shrink

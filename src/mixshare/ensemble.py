@@ -11,21 +11,22 @@ verification module checks against a grid simulator.  At mu = 0 it is the
 no-fixed-share ablation.  ``view()`` reads the live mixture in place; copy
 what outlives the round.
 
-Every slot holds a mean and a covariance, and one (horizon + 1, d, d)
-scratch buffer holds the rank-one write's outer products.
+Every slot holds a mean and a covariance; owned buffers of the same
+length hold the pushforward's cov x, its lanes-last (d, k) copy and the
+rank-one write's mean step and outer products.
 ``FixedShareMixture.update`` is the only code that writes the buffers in a
 round, for every loss: from the pushforward's cov x and one row of log
 factors per label, the observed label's last, it takes ln Z at every row,
-moves every component by ``gaussian.rank_one_update`` in the scratch
-buffer, shares by the last row and returns ln Z.  ``play_round`` reads the
-live mixture through ``view()``, pushes it forward along x once, to
-(cov x, x'm, v), by three BLAS ``ndarray.dot`` products, evaluates the
+moves every component by ``gaussian.rank_one_update`` in the owned
+buffers, shares by the last row and returns ln Z.  ``play_round`` pushes
+the live mixture forward along x once, by ``live_pushforward``, to
+(cov x, x'm, v), three BLAS ``ndarray.dot`` products, evaluates the
 factor rows once (``gaussian.quadratic_tilt`` on the residuals at -B, B
 and y for the squared kinds; one ``posterior.log_node_table`` for the
 labels -y, y for the logistic loss) and calls ``update``, whose ln Z the
 forecast reads at the two label endpoints, never y.  So a round costs
 O(k d^2), plus O(64 k) for the logistic quadrature, solves no system,
-keeps no history and allocates no (k, d, d) array; the factors are finite
+keeps no history and allocates no (k, d) or (k, d, d) array; the factors are finite
 logs for every finite point, so the weights need no floor.
 """
 
@@ -86,7 +87,9 @@ class FixedShareMixture:
         self._births = np.empty(horizon + 1, dtype=np.int64)
         self._means = np.empty((horizon + 1, d))
         self._covs = np.empty((horizon + 1, d, d))
-        self._scratch = np.empty((horizon + 1, d, d))  # rank_one_update's outer products
+        self._cov_x = np.empty((horizon + 1, d))  # the pushforward's cov x
+        self._cov_xt = np.empty((d, horizon + 1))  # and its lanes-last copy, for rank_one_update
+        self._scratch = np.empty((horizon + 1, d, d))  # rank_one_update's mean step and outer products
         self._eye = _read_only(np.eye(d))  # the newborn's covariance
         self._spawn(0.0)
 
@@ -104,6 +107,12 @@ class FixedShareMixture:
         if self.round > self.horizon:
             raise HorizonExceededError(f"round {self.round} exceeds horizon {self.horizon}")
 
+    def live_pushforward(self, x: np.ndarray) -> tuple:
+        """(cov x, x'm, v) of the live components along x, by ``pushforward_stack``;
+        cov x is written into the owned buffer, so it is valid until the next round."""
+        k = self._k
+        return pushforward_stack(self._means[:k], self._covs[:k], x, out=self._cov_x)
+
     def update(self, cov_x: np.ndarray, log_factors: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """Close the round: ln Z = ln sum_i p_i exp(log_factors_i) at every row of
         ``log_factors`` (one per label, the observed label's last), the rank-one
@@ -113,7 +122,7 @@ class FixedShareMixture:
         k = self._k
         log_w = self._log_w[:k]
         log_z = _log_z(log_w, log_factors)
-        rank_one_update(self._means[:k], self._covs[:k], cov_x, alpha, beta, self._scratch)
+        rank_one_update(self._means[:k], self._covs[:k], cov_x, alpha, beta, self._scratch, self._cov_xt)
         log_w += log_factors[-1]
         self.round += 1
         # normalize and scale survivors by (1 - mu) in one shift; log(1 - 0) = 0 exactly
@@ -178,8 +187,7 @@ def play_round(s: EnsembleState, point: DataPoint) -> float:
     if point.x.shape != s.w0.shape:
         raise DimensionError(f"feature shape {point.x.shape}, expected {s.w0.shape}")
     s.loss_spec.check_label(point.y)
-    live = s.view()
-    cov_x, xm, v = pushforward_stack(live.means, live.covs, point.x)
+    cov_x, xm, v = s.live_pushforward(point.x)
     if s.quadratic:
         # exp(-eta (x'w - y)^2) on the residual rows x'w - y at y = -B, B and the label
         B = s.loss_spec.B

@@ -3,15 +3,15 @@
 Closed-form entropy and KL divergence of one Gaussian, and the one
 posterior update of a stack of Gaussians, in two parts: the 1-D
 pushforward along x, which a round's forecast and update share and which
-takes its three matrix-vector products by BLAS ``ndarray.dot``, and the
-in-place rank-one write that uses it, forming its outer products in a
-scratch buffer the mixture owns, driven by (log factor, alpha, beta)
-from ``posterior.logistic_moments`` or ``quadratic_tilt``, the one quadratic
+takes its three matrix-vector products by BLAS ``ndarray.dot``, the first
+into the mixture's cov x buffer, and the in-place rank-one write that uses
+it, forming the mean step and the lanes-last outer products in buffers the
+mixture owns, driven by (log factor, alpha, beta) from
+``posterior.logistic_moments`` or ``quadratic_tilt``, the one quadratic
 closed form, whose log factor (the normalizer of exp(-a r^2) on a residual
 row, in log space so that long products stay stable) is every quadratic
 mix factor, OCO's completed-square surrogate included, and whose alpha is
-taken on the label's row only.  Also the one
-numpy log-sum-exp, of the mixture weights and of the logistic node tables.
+taken on the label's row only.  Also the one numpy log-sum-exp.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def kl_divergence(q: GaussianDist, p: GaussianDist) -> float:
     return 0.5 * (p.log_det_cov - q.log_det_cov + trace + maha - q.d)
 
 
-def pushforward_stack(means: np.ndarray, covs: np.ndarray, x: np.ndarray) -> tuple:
+def pushforward_stack(means: np.ndarray, covs: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> tuple:
     """The 1-D pushforward of every N(means[i], covs[i]) along x.
 
     Returns (cov_x, x'm, v): the (k, d) products covs @ x, the means
@@ -102,11 +102,12 @@ def pushforward_stack(means: np.ndarray, covs: np.ndarray, x: np.ndarray) -> tup
     ``CovarianceError``.  ``rank_one_update`` reads cov_x; the tilts read x'm and v.
     Each product is one ``ndarray.dot``, a BLAS matrix-vector product over
     the stacked rows; ``@`` would loop over the k d rows at a small inner
-    dimension, at several times the cost and with the same bits.
+    dimension, at several times the cost and with the same bits.  With
+    ``out``, a C-contiguous (>= k, d) buffer, cov_x is its first k rows.
     """
     x = np.asarray(x, dtype=float)
     k, d, _ = covs.shape
-    cov_x = covs.reshape(k * d, d).dot(x).reshape(k, d)
+    cov_x = covs.reshape(k * d, d).dot(x, out=None if out is None else out[:k].reshape(k * d)).reshape(k, d)
     v = cov_x.dot(x)
     if v.min() < 0.0:
         raise CovarianceError(f"pushforward variance {v.min()} is negative: a covariance is indefinite along x")
@@ -140,7 +141,7 @@ def quadratic_tilt(r, v, a: float) -> tuple:
 
 
 def rank_one_update(means: np.ndarray, covs: np.ndarray, cov_x: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
-                    scratch: np.ndarray):
+                    scratch: np.ndarray, cov_xt: np.ndarray):
     """Move every N(means[i], covs[i]) to the Gaussian whose pushforward
     along x has mean x'm + alpha v and variance v + beta v^2, in place.
 
@@ -151,23 +152,35 @@ def rank_one_update(means: np.ndarray, covs: np.ndarray, cov_x: np.ndarray, alph
     exactly symmetric, and cov' stays positive definite while
     1 + beta v > 0, that is, while the new variance along x is positive.
 
-    The k outer products are formed and scaled in the first k slots of
-    ``scratch``, a (>= k, d, d) buffer the mixture owns, so a round
-    allocates no (k, d, d) temporary; its other slots are left as they are.
+    The mean step, then the outer products as one lanes-last (d, d, k) block
+    built from cov_x copied into ``cov_xt[:, :k]``, are formed in the first k
+    slots of ``scratch``; each multiply runs over k contiguous lanes, with the
+    (k, d, d) form's products in its order.  The mixture owns both buffers,
+    (>= k, d, d) and (d, >= k), and their other slots are left as they are.
     """
-    means += alpha[:, None] * cov_x
-    outer = np.multiply(cov_x[:, :, None], cov_x[:, None, :], out=scratch[: len(cov_x)])
-    covs += np.multiply(beta[:, None, None], outer, out=outer)
+    k, d = cov_x.shape
+    means += np.multiply(alpha[:, None], cov_x, out=scratch[:k].reshape(-1, d)[:k])
+    lanes = cov_xt[:, :k]
+    np.copyto(lanes, cov_x.T)
+    outer = np.multiply(lanes[:, None], lanes, out=scratch[:k].reshape(d, d, k))
+    covs += np.multiply(outer, beta, out=outer).transpose(2, 0, 1)
 
 
 def logsumexp(a, axis=None):
     """ln sum(exp(a)) over ``axis`` (all entries when None).
 
-    Shifts by the finite maximum so no term overflows; a slice whose
-    entries are all -inf gives -inf without a warning.
+    Shifts by the maximum so no term overflows; only a slice with no finite
+    maximum can sum to 0, so only there is it zeroed, and -inf given without a warning.
     """
     a = np.asarray(a, dtype=float)
     shift = a.max(axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
+    finite = np.isfinite(shift)
+    if finite.all():
+        return _shifted_logsumexp(a, shift, axis)
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - shift).sum(axis=axis)) + shift.squeeze(axis=axis)
+        return _shifted_logsumexp(a, np.where(finite, shift, 0.0), axis)
+
+
+def _shifted_logsumexp(a: np.ndarray, shift: np.ndarray, axis):
+    """ln sum(exp(a - shift)) + shift over ``axis``, for the kept-dims ``shift``."""
+    return np.log(np.exp(a - shift).sum(axis=axis)) + shift.squeeze(axis=axis)

@@ -12,22 +12,22 @@ r = s + 1/gamma: the square completed, the constant cancels in the
 normalization, so ``update``'s ln Z is the surrogate normalizer minus 1/4.
 gamma <= 1/(8 G D) keeps gamma |s| <= 1/8, so nothing cancels badly.
 
-The repair projects every mean but eigendecomposes only the components
-whose spectrum can have left the band.  The surrogate tilt only adds
-precision, P' = P + (gamma^2 / 2) g g', so Sigma <= I holds with no
-repair and lambda_max(P) grows by at most (gamma^2 / 2)|g|^2 a round.
-``OcoState`` keeps that growth as one bound u >= lambda_max(P) per slot
-(1 for a newborn), and the repair screens, with one values-only
-``eigvalsh``, only the slots whose bound can reach T; ``eigh`` runs only
-on those whose spectrum leaves [1/T, 1], and each screened bound is reset
-from its smallest eigenvalue.  The closing membership check still tests
-every component's band, in one LDL' elimination interleaved across all
-components.
+The repair writes the means only when one has left the ball, and
+eigendecomposes only the components whose spectrum can have left the
+band.  The surrogate tilt only adds precision, P' = P + (gamma^2 / 2) g g',
+so Sigma <= I holds with no repair and lambda_max(P) grows by at most
+(gamma^2 / 2)|g|^2 a round.  ``OcoState`` keeps that growth as one bound
+u >= lambda_max(P) per slot (1 for a newborn), and the repair screens,
+with one values-only ``eigvalsh``, only the slots whose bound can reach T;
+``eigh`` runs only on those whose spectrum leaves [1/T, 1], and each
+screened bound is reset from its smallest eigenvalue.  The closing
+membership check still tests every component's band, in one LDL'
+elimination interleaved across all components.
 
 The state is the ensemble's ``FixedShareMixture``.  One ``view()`` serves
-the mean, the pushforward along g and the repair; the shared ``update``
-closes the round, then the repair acts on that pre-spawn view in place
-(the newborn is in the band), so nothing is copied or concatenated.
+the mean and the repair, ``live_pushforward`` the pushforward along g; the
+shared ``update`` closes the round, then the repair acts on that pre-spawn
+view in place (the newborn is in the band), so nothing is copied.
 
 The repair step approximates the exact KL projection onto the mixture
 family, which the source analysis only proves to exist; the approximation
@@ -44,7 +44,7 @@ import numpy as np
 from .core import DimensionError, DomainSpec
 from .ensemble import FixedShareMixture
 from .forecasters import GaussianMixture
-from .gaussian import LOG_2PI, logsumexp, pushforward_stack, quadratic_tilt
+from .gaussian import LOG_2PI, logsumexp, quadratic_tilt
 
 
 class ConstraintViolationError(ValueError):
@@ -98,15 +98,15 @@ def _in_band(covs: np.ndarray, lo: float, hi: float) -> bool:
     k, d = covs.shape[:2]
     a = np.empty((d, d, 2 * k))
     ct = covs.transpose(1, 2, 0)
-    eye = np.eye(d)[..., None]
-    np.subtract(ct, lo * eye, out=a[..., :k])
-    np.subtract(hi * eye, ct, out=a[..., k:])
-    for j in range(d):
+    a[..., :k] = ct
+    np.subtract(0.0, ct, out=a[..., k:])
+    a.reshape(d * d, 2, k)[:: d + 1] += [[-lo], [hi]]  # the diagonals, in place: cov - lo I and hi I - cov
+    for j in range(d - 1):
         p = a[j, j]
         if not p.min() > 0.0:  # NaN fails too
             return False
         a[j + 1 :, j + 1 :] -= a[j + 1 :, j, None] * (a[j + 1 :, j] / p)
-    return True
+    return bool(a[-1, -1].min() > 0.0)  # the last pivot
 
 
 class OcoState(FixedShareMixture):
@@ -155,12 +155,13 @@ def approx_project_to_M(mix: GaussianMixture, domain: DomainSpec, T: int, state:
     Each screened slot's bound is reset to 1 / clip(lambda_min, 1/T, 1), and
     the state's ``repair_decomposed`` and ``repair_clamped`` counts advance.
     """
-    mix.means[:] = domain.project(mix.means)
+    if (means := domain.project(mix.means)) is not mix.means:  # project returns its input if all are inside
+        mix.means[:] = means
     if state is None:
         screen = np.arange(len(mix.covs))
     else:
         bound = state._prec_bound[: len(mix.covs)]
-        screen = np.flatnonzero(bound > T * (1.0 - 1e-9))
+        screen = (bound > T * (1.0 - 1e-9)).nonzero()[0]
         if not screen.size:
             return
     eigs = np.linalg.eigvalsh(mix.covs[screen])  # ascending
@@ -189,13 +190,14 @@ def oco_round(s: OcoState, grad_oracle) -> tuple:
     g = np.asarray(grad_oracle(w_t), dtype=float)
     if g.shape != s.w0.shape:
         raise DimensionError(f"gradient shape {g.shape}, expected {s.w0.shape}")
-    if not float(np.linalg.norm(g)) <= s.G * (1.0 + 1e-9):  # NaN fails too
-        raise ValueError(f"gradient norm {np.linalg.norm(g)} exceeds declared bound G = {s.G}")
-    cov_x, gm, v = pushforward_stack(live.means, live.covs, g)
+    gg = float(g @ g)
+    if not np.sqrt(gg) <= s.G * (1.0 + 1e-9):  # NaN fails too
+        raise ValueError(f"gradient norm {np.sqrt(gg)} exceeds declared bound G = {s.G}")
+    cov_x, gm, v = s.live_pushforward(g)
     gamma = s.gamma
     # the surrogate's weight as a completed square, e^(1/4) exp(-(gamma^2/4) r^2); ln Z omits the e^(1/4)
     log_factors, alpha, beta = quadratic_tilt((gm - (float(g @ w_t) - 1.0 / gamma))[None], v, gamma * gamma / 4.0)
-    s._prec_bound[: len(gm)] += 0.5 * gamma * gamma * float(g @ g)
+    s._prec_bound[: len(gm)] += 0.5 * gamma * gamma * gg
     s.update(cov_x, log_factors, alpha, beta)
     approx_project_to_M(live, s.domain, s.horizon, s)
     s.mixture.validate(s.domain)

@@ -128,6 +128,60 @@ def test_domain_stack_is_row_wise():
     assert dom.contains(stack[inside])
 
 
+def _contains_by_linalg_norm(dom, w, tol=0.0):
+    return bool((np.linalg.norm(np.asarray(w, dtype=float) - dom.center, axis=-1) <= dom.R + tol).all())
+
+
+def _project_by_linalg_norm(dom, w):
+    # DomainSpec.project with its norms taken by np.linalg.norm
+    w = np.asarray(w, dtype=float)
+    delta = w - dom.center
+    norms = np.linalg.norm(delta, axis=-1, keepdims=True)
+    inside = norms <= dom.R
+    if inside.all():
+        return w
+    radius, shrink = np.full_like(norms, dom.R), np.finfo(float).eps * dom.R
+    while True:
+        out = np.where(inside, w, dom.center + delta * (radius / np.maximum(norms, dom.R)))
+        over = np.linalg.norm(out - dom.center, axis=-1, keepdims=True) > dom.R
+        if not over.any():
+            return out
+        radius, shrink = np.where(over, radius - shrink, radius), 2.0 * shrink
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 13])
+def test_domain_norms_equal_linalg_norm_bit_for_bit(d):
+    # points on the sphere by construction, one ulp outside it, rounded onto it from a random
+    # direction, and well inside and outside, at the origin and off it
+    rng = np.random.default_rng(40 + d)
+    for center in (None, rng.uniform(-1.0, 1.0, d)):
+        dom = DomainSpec(d, 0.7, center=center)
+        axes = np.eye(d)
+        directions = rng.standard_normal((60, d))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        stack = dom.center + np.concatenate([
+            dom.R * axes, -dom.R * axes, np.nextafter(dom.R, np.inf) * axes,
+            dom.R * directions, rng.uniform(0.0, 2.0, (60, 1)) * directions,
+        ])
+        for w in (stack, stack[: 2 * d], *stack):
+            for tol in (0.0, 1e-9):
+                assert dom.contains(w, tol=tol) == _contains_by_linalg_norm(dom, w, tol)
+            got, want = dom.project(w), _project_by_linalg_norm(dom, w)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    on_sphere = DomainSpec(d, 0.7)
+    assert on_sphere.contains(0.7 * np.eye(d)) and not on_sphere.contains(np.nextafter(0.7, 1.0) * np.eye(d))
+
+
+def test_domain_projection_returns_its_input_when_every_row_is_inside():
+    dom = DomainSpec(3, 1.0, center=np.array([0.5, 0.0, -0.5]))
+    stack = dom.center + np.random.default_rng(9).uniform(-0.5, 0.5, size=(20, 3))
+    assert dom.project(stack) is stack
+    row = stack[0]
+    assert dom.project(row) is row
+    stack[3] = dom.center + 2.0
+    assert not np.shares_memory(dom.project(stack), stack)
+
+
 @pytest.mark.parametrize("x, y", [([1.0, np.nan], 0.0), ([1.0, np.inf], 0.0), ([1.0, 0.0], np.nan), ([1.0, 0.0], -np.inf)])
 def test_data_point_rejects_non_finite(x, y):
     with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ def test_no_module_level_name_is_defined_twice(path):
     assert not twice, f"defined more than once in {path.name}: {', '.join(twice)}"
 
 
-BUFFERS = {"_log_w", "_births", "_means", "_covs", "_scratch", "_k"}
+BUFFERS = {"_log_w", "_births", "_means", "_covs", "_cov_x", "_cov_xt", "_scratch", "_k"}
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("src/mixshare/*.py")), ids=lambda p: str(p.relative_to(ROOT)))

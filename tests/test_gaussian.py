@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,35 +214,42 @@ def test_quadratic_tilt_label_row_and_zero_b_equal_the_general_form_bit_for_bit(
 
 @pytest.mark.parametrize("d", [1, 3, 8])
 def test_pushforward_stack_equals_the_matmul_form_bit_for_bit(d):
-    # ndarray.dot (BLAS matrix-vector) against the @ form of the same stacked products
+    # ndarray.dot (BLAS matrix-vector) against the @ form of the same stacked products,
+    # with cov_x returned fresh or written into the first k rows of an out buffer
     rng = np.random.default_rng(22 + d)
     for k in (1, 7, 300):
         means = rng.standard_normal((k, d))
         covs = np.stack([_random_spd(rng, d) for _ in range(k)])
         x = rng.standard_normal(d)
-        cov_x, xm, v = pushforward_stack(means, covs, x)
         want_cov_x = (covs.reshape(k * d, d) @ x).reshape(k, d)
-        assert np.array_equal(cov_x, want_cov_x)
-        assert np.array_equal(xm, means @ x)
-        assert np.array_equal(v, want_cov_x @ x)
+        out = np.full((k + 3, d), 7.25)
+        for cov_x, xm, v in (pushforward_stack(means, covs, x), pushforward_stack(means, covs, x, out=out)):
+            assert np.array_equal(cov_x, want_cov_x)
+            assert np.array_equal(xm, means @ x)
+            assert np.array_equal(v, want_cov_x @ x)
+        assert np.shares_memory(cov_x, out) and (out[k:] == 7.25).all()
 
 
-@pytest.mark.parametrize("d", [1, 3, 8])
-def test_rank_one_update_in_scratch_equals_the_allocating_form_and_spares_unused_slots(d):
-    # the outer products formed and scaled in the first k of 14 slots, against the same
-    # three operations on fresh arrays
-    rng = np.random.default_rng(30 + d)
-    k, slots = 9, 14
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("k", [1, 9, 300])
+def test_rank_one_update_in_scratch_equals_the_allocating_form_and_spares_unused_slots(d, k):
+    # the mean step and the lanes-last outer products formed in the first k of k + 5
+    # slots, and cov x copied into the first k of k + 5 columns, against the same three
+    # operations on fresh (k, d) and (k, d, d) arrays
+    rng = np.random.default_rng(30 + d + k)
+    slots = k + 5
     means = rng.standard_normal((k, d))
     covs = np.stack([_random_spd(rng, d) for _ in range(k)])
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))  # exactly symmetric
     cov_x, _, v = pushforward_stack(means, covs, rng.standard_normal(d))
     alpha, beta = rng.standard_normal(k), -rng.uniform(0.0, 1.0, k) / (1.0 + v)
     want_means = means + alpha[:, None] * cov_x
     want_covs = covs + beta[:, None, None] * (cov_x[:, :, None] * cov_x[:, None, :])
-    scratch = np.full((slots, d, d), 7.25)
-    rank_one_update(means, covs, cov_x, alpha, beta, scratch)
+    scratch, cov_xt = np.full((slots, d, d), 7.25), np.full((d, slots), 7.25)
+    rank_one_update(means, covs, cov_x, alpha, beta, scratch, cov_xt)
     assert np.array_equal(means, want_means) and np.array_equal(covs, want_covs)
-    assert (scratch[k:] == 7.25).all()
+    assert np.array_equal(covs, covs.transpose(0, 2, 1))
+    assert (scratch[k:] == 7.25).all() and (cov_xt[:, k:] == 7.25).all()
 
 
 def test_gauss_hermite_exact_for_polynomials():
@@ -265,3 +274,30 @@ def test_logsumexp_matches_scipy():
         assert np.allclose(logsumexp(a, **kwargs), want, rtol=1e-14, atol=0.0, equal_nan=True)
     assert logsumexp(np.full(4, -np.inf)) == -np.inf
     assert logsumexp(a[0]) == pytest.approx(scipy_logsumexp(a[0]), rel=1e-14)
+
+
+def _logsumexp_one_formula(a, axis):
+    # every slice shifted by its maximum, zeroed where that is not finite, ln 0 let through
+    shift = a.max(axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - shift).sum(axis=axis)) + shift.squeeze(axis=axis)
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1, -1])
+def test_logsumexp_equals_the_one_formula_bit_for_bit_without_a_warning(axis):
+    # finite slices take the unguarded path, slices of -inf, +inf or NaN the guarded one
+    rng = np.random.default_rng(12)
+    finite = rng.normal(0.0, 300.0, size=(7, 11))
+    special = finite.copy()
+    special[1] = -np.inf
+    special[2, 3] = np.inf
+    special[3, 5] = np.nan
+    special[4, :6] = -np.inf
+    for a in (finite, special, special[[0, 4, 5]], special[:, 6:], np.full((2, 3), -np.inf)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logsumexp(a, axis=axis)
+        want = _logsumexp_one_formula(a, axis)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want, equal_nan=True) and np.array_equal(np.signbit(got), np.signbit(want))

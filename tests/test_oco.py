@@ -25,7 +25,7 @@ def _surrogate_tilt(mix, g, w_ref, gamma):
     write.  Returns the per-component log factors log E_i[exp(-gamma f~ / 2)]."""
     cov_x, gm, v = pushforward_stack(mix.means, mix.covs, g)
     log_factors, alpha, beta = quadratic_tilt((gm - (g @ w_ref - 1.0 / gamma))[None], v, gamma * gamma / 4.0)
-    rank_one_update(mix.means, mix.covs, cov_x, alpha, beta, np.empty_like(mix.covs))
+    rank_one_update(mix.means, mix.covs, cov_x, alpha, beta, np.empty_like(mix.covs), np.empty(cov_x.shape[::-1]))
     return log_factors[0] + 0.25
 
 
@@ -146,6 +146,18 @@ def test_projection_is_identity_inside_constraints():
     assert np.array_equal(mix.log_w, before.log_w)
     assert np.array_equal(mix.means, before.means)
     assert np.array_equal(mix.covs, before.covs)
+
+
+def test_repair_writes_no_mean_when_every_mean_is_inside():
+    # read-only means make any write to them raise, while the covariances are still clamped
+    dom = DomainSpec(2, 1.0)
+    means = np.array([[0.2, 0.1], [-0.5, 0.6]])
+    covs = np.array([[[0.5, 0.0], [0.0, 0.3]], [[2.0, 0.0], [0.0, 0.01]]])
+    mix = GaussianMixture(np.log([0.5, 0.5]), means, covs.copy())
+    means.flags.writeable = False
+    oco.approx_project_to_M(mix, dom, T=10)
+    assert np.array_equal(mix.means, [[0.2, 0.1], [-0.5, 0.6]])
+    assert np.array_equal(mix.covs[0], covs[0]) and np.allclose(mix.covs[1], np.diag([1.0, 0.1]))
 
 
 def test_fixed_share_anchor_weights():

@@ -229,7 +229,7 @@ def test_mix_factors_bounded_by_one():
         assert 0.0 < np.exp(log_factor[0]) <= 1.0 and log_factor[0] <= 0.0
         assert 0.0 < np.exp(log_quad_mix_factor(qp, DataPoint(x, ysq), 1.0)) <= 1.0
         assert log_quad_mix_factor(qp, DataPoint(x, ysq), 1.0) <= 0.0
-        rank_one_update(mean, cov, cov_x, alpha, beta, np.empty_like(cov))
+        rank_one_update(mean, cov, cov_x, alpha, beta, np.empty_like(cov), np.empty(cov_x.shape[::-1]))
         qp = quad_update(qp, DataPoint(x, ysq), 1.0)
     np.linalg.cholesky(cov)
 
